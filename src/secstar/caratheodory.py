@@ -7,6 +7,12 @@ starlike class are synthesized from p through the Schwarz function
 omega = (p-1)/(p+1), the substitution q = phi(omega), and the
 exponential-integral lift.
 
+Synthesis runs on batches: :func:`pack_measures` turns B measures into
+zero-padded ``(B, MAX_ATOMS)`` arrays of weights lambda_k and atoms x_k (a
+padding atom has weight 0 and x = 0, so it contributes nothing anywhere),
+and the ``*_rows`` functions map those to ``(B, ...)`` arrays.  The
+single-measure functions are batches of one.
+
 Also here: the classical parametrization of an admissible coefficient prefix
 (p1, p2, p3, p4) by a point (p, gamma, eta, rho), and the Hermitian-Toeplitz
 positivity oracle that certifies such prefixes.
@@ -22,15 +28,21 @@ import numpy as np
 
 from .extremal import ClassMember
 from .generator import phi_series
-from .series import PowerSeries, exp_integral_lift
+from .series import PowerSeries, compose_rows, div_rows, lift_rows
 
 __all__ = [
     "HerglotzMeasure",
     "sample_measure",
     "measure_single_atom",
     "measure_equal_atoms",
+    "BLOCK",
+    "pack_measures",
+    "p_rows",
+    "member_rows",
+    "log_derivative_rows",
     "p_series_from_measure",
     "p_eval_from_measure",
+    "members_from_measures",
     "member_from_measure",
     "log_derivative_on_circle",
     "SchurPoint",
@@ -41,6 +53,11 @@ __all__ = [
 ]
 
 MAX_ATOMS = 8
+
+#: Members per synthesis block.  Composition holds a (B, N+1, N+1) matrix
+#: stack, so blocks bound the memory of a large batch; results do not
+#: depend on the block size.
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -94,19 +111,68 @@ def measure_equal_atoms(k: int) -> HerglotzMeasure:
     return HerglotzMeasure(atoms=tuple((1.0 / k, a) for a in angles))
 
 
-def p_series_from_measure(m: HerglotzMeasure, order: int) -> PowerSeries:
-    """Coefficients p_n = 2 sum_k lambda_k e^{-i n theta_k}; p_0 = 1."""
+def pack_measures(measures: Sequence[HerglotzMeasure]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights lambda_k (float) and atoms x_k = e^{-i theta_k} (complex) of B
+    measures, as (B, MAX_ATOMS) arrays padded with zeros."""
+    weights = np.zeros((len(measures), MAX_ATOMS))
+    angles = np.zeros((len(measures), MAX_ATOMS))
+    counts = np.empty(len(measures), dtype=int)
+    for i, m in enumerate(measures):
+        counts[i] = len(m.atoms)
+        weights[i, : counts[i]], angles[i, : counts[i]] = zip(*m.atoms)
+    present = np.arange(MAX_ATOMS) < counts[:, None]
+    return weights, np.where(present, np.exp(-1j * angles), 0.0)
+
+
+def p_rows(weights: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """(B, order+1) coefficients p_n = 2 sum_k lambda_k x_k^n; p_0 = 1."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    lam = m.weights
-    x = np.exp(-1j * m.angles)
-    c = np.empty(order + 1, dtype=np.complex128)
-    c[0] = 1.0
-    xn = np.ones_like(x)
-    for n in range(1, order + 1):
-        xn = xn * x
-        c[n] = 2.0 * np.dot(lam, xn)
-    return PowerSeries(c)
+    powers = np.cumprod(np.broadcast_to(x[:, :, None], x.shape + (order,)), axis=2)
+    out = np.empty((x.shape[0], order + 1), dtype=np.complex128)
+    out[:, 0] = 1.0
+    out[:, 1:] = 2.0 * (weights[:, :, None] * powers).sum(axis=1)
+    return out
+
+
+def member_rows(weights: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """(B, order+1) member coefficients: omega = (p-1)/(p+1), q = phi(omega), lift."""
+    p = p_rows(weights, x, order)
+    num, den = p.copy(), p.copy()
+    num[:, 0] -= 1.0
+    den[:, 0] += 1.0
+    omega = div_rows(num, den)
+    return lift_rows(compose_rows(phi_series(order).coeffs, omega))
+
+
+def _kernel_rows(weights: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(B, Z) exact kernel values sum_k lambda_k (1 + x_k z)/(1 - x_k z)."""
+    xz = x[:, :, None] * z[None, None, :]
+    kernel = 1.0 + xz
+    kernel /= 1.0 - xz
+    kernel *= weights[:, :, None]
+    return kernel.sum(axis=1)
+
+
+def log_derivative_rows(weights: np.ndarray, x: np.ndarray, radius: float,
+                        count: int) -> np.ndarray:
+    """(B, count) values of z f'/f for each member on |z| = radius.
+
+    By construction z f'/f = phi(omega(z)) identically, so the values are
+    computed from the exact kernel representation of p; this avoids the
+    truncation drift a finite series ratio would show near the boundary.
+    """
+    if not 0.0 < radius < 1.0:
+        raise ValueError("radius must lie in (0, 1)")
+    z = radius * np.exp(1j * np.linspace(-math.pi, math.pi, count, endpoint=False))
+    p = _kernel_rows(weights, x, z)
+    omega = (p - 1.0) / (p + 1.0)
+    return (1.0 + omega) / np.cos(omega)
+
+
+def p_series_from_measure(m: HerglotzMeasure, order: int) -> PowerSeries:
+    """Coefficients p_n = 2 sum_k lambda_k e^{-i n theta_k}; p_0 = 1."""
+    return PowerSeries(p_rows(*pack_measures([m]), order)[0])
 
 
 def p_eval_from_measure(m: HerglotzMeasure, z) -> np.ndarray:
@@ -116,34 +182,31 @@ def p_eval_from_measure(m: HerglotzMeasure, z) -> np.ndarray:
     which matters near the boundary where truncation tails dominate.
     """
     z = np.asarray(z, dtype=np.complex128)
-    lam = m.weights
-    x = np.exp(-1j * m.angles)
-    xz = np.multiply.outer(z, x)
-    return ((1.0 + xz) / (1.0 - xz) @ lam)
+    return _kernel_rows(*pack_measures([m]), z.ravel())[0].reshape(z.shape)
+
+
+def members_from_measures(measures: Sequence[HerglotzMeasure],
+                          order: int) -> list[ClassMember]:
+    """Class members of a batch of measures, synthesized BLOCK at a time."""
+    members = []
+    for start in range(0, len(measures), BLOCK):
+        block = measures[start:start + BLOCK]
+        members.extend(
+            ClassMember(PowerSeries(c),
+                        provenance=(f"herglotz-sample:seed={m.seed}"
+                                    if m.seed is not None else "herglotz-manual"))
+            for m, c in zip(block, member_rows(*pack_measures(block), order)))
+    return members
 
 
 def member_from_measure(m: HerglotzMeasure, order: int) -> ClassMember:
     """Synthesize a class member: omega = (p-1)/(p+1), q = phi(omega), lift."""
-    p = p_series_from_measure(m, order)
-    omega = (p - 1.0) / (p + 1.0)
-    q = phi_series(order).compose(omega)
-    tag = f"herglotz-sample:seed={m.seed}" if m.seed is not None else "herglotz-manual"
-    return ClassMember(exp_integral_lift(q), provenance=tag)
+    return members_from_measures([m], order)[0]
 
 
 def log_derivative_on_circle(m: HerglotzMeasure, radius: float, count: int) -> np.ndarray:
-    """Values of z f'/f for the measure's member on |z| = radius.
-
-    By construction z f'/f = phi(omega(z)) identically, so the values are
-    computed from the exact kernel representation of p; this avoids the
-    truncation drift a finite series ratio would show near the boundary.
-    """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    z = radius * np.exp(1j * np.linspace(-math.pi, math.pi, count, endpoint=False))
-    p = p_eval_from_measure(m, z)
-    omega = (p - 1.0) / (p + 1.0)
-    return (1.0 + omega) / np.cos(omega)
+    """Values of z f'/f for the measure's member on |z| = radius."""
+    return log_derivative_rows(*pack_measures([m]), radius, count)[0]
 
 
 @dataclass(frozen=True)

@@ -111,10 +111,13 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
+    measures = [caratheodory.sample_measure(args.seed + i, args.max_atoms)
+                for i in range(args.count)]
     out = []
-    for i in range(args.count):
-        m = caratheodory.sample_measure(args.seed + i, args.max_atoms)
-        member = caratheodory.member_from_measure(m, args.order)
+    for m, member in zip(measures,
+                         caratheodory.members_from_measures(measures, args.order)):
         out.append({
             "seed": int(m.seed),
             "atoms": [[w, a] for w, a in m.atoms],

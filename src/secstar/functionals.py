@@ -10,6 +10,10 @@ For a normalized member with coefficients a_n the quantities of interest are
 
 plus the weighted coefficient-sum margin with k1 = cos^2 1 and the
 convolution nonvanishing margin that characterizes class membership.
+
+The functionals and their flags are written once, elementwise on arrays:
+:func:`functional_columns` evaluates them for a ``(B, N+1)`` batch of
+coefficient rows, and :func:`compute_report` is its view for one member.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .generator import RE_MAX, _phi_values
 __all__ = [
     "SHARP_BOUNDS",
     "FunctionalReport",
+    "FunctionalColumns",
+    "functional_columns",
+    "modulus",
     "compute_report",
     "fs_bound",
     "coefficient_sum_margin",
@@ -80,13 +87,20 @@ def hankel_h31(a2, a3, a4, a5) -> complex:
     return a3 * (a2 * a4 - a3 * a3) - a4 * (a4 - a2 * a3) + a5 * (a3 - a2 * a2)
 
 
-def toeplitz_t21(a2) -> float:
-    return 1.0 - abs(a2) ** 2
+def modulus(z):
+    """|z| elementwise through hypot, which matches ``abs`` on a Python
+    complex; ``np.abs`` on complex arrays can be an ulp off (|e^{it}| may
+    come out as 1 + 2^-52)."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
-def toeplitz_t31(a2, a3) -> float:
-    return float(1.0 - 2.0 * abs(a2) ** 2 + 2.0 * (a2 * a2 * np.conj(a3)).real
-                 - abs(a3) ** 2)
+def toeplitz_t21(a2):
+    return 1.0 - modulus(a2) ** 2
+
+
+def toeplitz_t31(a2, a3):
+    return (1.0 - 2.0 * modulus(a2) ** 2 + 2.0 * (a2 * a2 * np.conj(a3)).real
+            - modulus(a3) ** 2)
 
 
 def fs_bound(mu: float) -> float:
@@ -98,6 +112,68 @@ def fs_bound(mu: float) -> float:
     return mu - 0.75
 
 
+@dataclass(frozen=True)
+class FunctionalColumns:
+    """Functionals and flags of a batch of members, one array entry per member."""
+
+    a2: np.ndarray
+    a3: np.ndarray
+    a4: np.ndarray
+    a5: np.ndarray
+    h22: np.ndarray
+    h31: np.ndarray
+    t21: np.ndarray
+    t31: np.ndarray
+    fs: dict[float, np.ndarray]
+    coeff_sum_margin: np.ndarray
+    flags: dict[str, np.ndarray]
+
+    def report(self, i: int, convolution: float | None = None) -> FunctionalReport:
+        """The report of member i, with the given convolution margin."""
+        return FunctionalReport(
+            a2=complex(self.a2[i]), a3=complex(self.a3[i]),
+            a4=complex(self.a4[i]), a5=complex(self.a5[i]),
+            h22=complex(self.h22[i]), h31=complex(self.h31[i]),
+            t21=float(self.t21[i]), t31=float(self.t31[i]),
+            fs={mu: float(v[i]) for mu, v in self.fs.items()},
+            coeff_sum_margin=float(self.coeff_sum_margin[i]),
+            convolution_margin=convolution,
+            flags={name: bool(ok[i]) for name, ok in self.flags.items()})
+
+
+def _sum_margin_rows(coeffs: np.ndarray) -> np.ndarray:
+    n = np.arange(2, coeffs.shape[1])
+    return (4.0 - K1) - ((n * n * K1 - 4.0) * modulus(coeffs[:, 2:]) ** 2).sum(axis=1)
+
+
+def functional_columns(coeffs: np.ndarray,
+                       fs_mus: tuple[float, ...] = DEFAULT_FS_MUS) -> FunctionalColumns:
+    """All coefficient functionals of a (B, N+1) batch of members, with flags."""
+    if coeffs.shape[1] < 6:
+        raise ValueError("need coefficients through a5 (order >= 5)")
+    a2, a3, a4, a5 = (coeffs[:, n] for n in range(2, 6))
+    h22 = hankel_h22(a2, a3, a4)
+    h31 = hankel_h31(a2, a3, a4, a5)
+    t21 = toeplitz_t21(a2)
+    t31 = toeplitz_t31(a2, a3)
+    tol = _FLAG_TOL
+    flags = {
+        "a2_le_1": modulus(a2) <= SHARP_BOUNDS["a2"] + tol,
+        "a3_le_3_4": modulus(a3) <= SHARP_BOUNDS["a3"] + tol,
+        "a4_le_7_12": modulus(a4) <= SHARP_BOUNDS["a4"] + tol,
+        "a5_le_third": modulus(a5) <= SHARP_BOUNDS["a5"] + tol,
+        "h22_le_quarter": modulus(h22) <= SHARP_BOUNDS["h22"] + tol,
+        "h31_le_ninth": modulus(h31) <= SHARP_BOUNDS["h31"] + tol,
+        "t21_in_unit": (-tol <= t21) & (t21 <= 1.0 + tol),
+        "t31_in_range": (-1.0 / 15.0 - tol <= t31) & (t31 <= 1.0 + tol),
+    }
+    return FunctionalColumns(a2=a2, a3=a3, a4=a4, a5=a5, h22=h22, h31=h31,
+                             t21=t21, t31=t31,
+                             fs={mu: modulus(a3 - mu * a2 * a2) for mu in fs_mus},
+                             coeff_sum_margin=_sum_margin_rows(coeffs),
+                             flags=flags)
+
+
 def compute_report(member: ClassMember,
                    fs_mus: tuple[float, ...] = DEFAULT_FS_MUS,
                    convolution: bool = False) -> FunctionalReport:
@@ -106,29 +182,8 @@ def compute_report(member: ClassMember,
     ``convolution`` switches on the (grid-based, comparatively expensive)
     convolution margin; when off the field is None.
     """
-    if member.order < 5:
-        raise ValueError("need coefficients through a5 (order >= 5)")
-    a2, a3, a4, a5 = (member.a(n) for n in range(2, 6))
-    h22 = hankel_h22(a2, a3, a4)
-    h31 = hankel_h31(a2, a3, a4, a5)
-    t21 = toeplitz_t21(a2)
-    t31 = toeplitz_t31(a2, a3)
-    fs = {mu: abs(a3 - mu * a2 * a2) for mu in fs_mus}
-    margin = coefficient_sum_margin(member)
-    conv = convolution_margin(member) if convolution else None
-    flags = {
-        "a2_le_1": abs(a2) <= SHARP_BOUNDS["a2"] + _FLAG_TOL,
-        "a3_le_3_4": abs(a3) <= SHARP_BOUNDS["a3"] + _FLAG_TOL,
-        "a4_le_7_12": abs(a4) <= SHARP_BOUNDS["a4"] + _FLAG_TOL,
-        "a5_le_third": abs(a5) <= SHARP_BOUNDS["a5"] + _FLAG_TOL,
-        "h22_le_quarter": abs(h22) <= SHARP_BOUNDS["h22"] + _FLAG_TOL,
-        "h31_le_ninth": abs(h31) <= SHARP_BOUNDS["h31"] + _FLAG_TOL,
-        "t21_in_unit": -_FLAG_TOL <= t21 <= 1.0 + _FLAG_TOL,
-        "t31_in_range": -1.0 / 15.0 - _FLAG_TOL <= t31 <= 1.0 + _FLAG_TOL,
-    }
-    return FunctionalReport(a2=a2, a3=a3, a4=a4, a5=a5, h22=h22, h31=h31,
-                            t21=t21, t31=t31, fs=fs, coeff_sum_margin=margin,
-                            convolution_margin=conv, flags=flags)
+    cols = functional_columns(member.coeffs.coeffs[None, :], fs_mus)
+    return cols.report(0, convolution_margin(member) if convolution else None)
 
 
 def coefficient_sum_margin(member: ClassMember) -> float:
@@ -139,9 +194,7 @@ def coefficient_sum_margin(member: ClassMember) -> float:
     """
     if member.order < 2:
         raise ValueError("need at least a2")
-    n = np.arange(2, member.order + 1)
-    an = member.coeffs.coeffs[2:]
-    return float((4.0 - K1) - np.sum((n * n * K1 - 4.0) * np.abs(an) ** 2))
+    return float(_sum_margin_rows(member.coeffs.coeffs[None, :])[0])
 
 
 def an_bound(n: int) -> float:
@@ -180,6 +233,8 @@ def convolution_margin(member: ClassMember, theta_samples: int = 720,
     """
     if theta_samples < 360:
         raise ValueError("need at least 360 theta samples")
+    if z_radii < 2 or z_angles < 2:
+        raise ValueError("need at least 2 z radii and 2 z angles")
     thetas = np.linspace(-math.pi, math.pi, theta_samples, endpoint=False)
     radii = np.linspace(max_radius / z_radii, max_radius, z_radii)
     angles = np.linspace(-math.pi, math.pi, z_angles, endpoint=False)

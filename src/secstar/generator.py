@@ -12,6 +12,7 @@ whose integrand extends continuously to t = 0 with value 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,8 +49,12 @@ def _phi_values(z: np.ndarray) -> np.ndarray:
     return (1.0 + z) / np.cos(z)
 
 
+@functools.lru_cache(maxsize=256)
 def phi_series(order: int) -> PowerSeries:
-    """Maclaurin series of (1+z)/cos z: (1+z) times the reciprocal cosine."""
+    """Maclaurin series of (1+z)/cos z: (1+z) times the reciprocal cosine.
+
+    Memoised by order; the returned series is immutable, so callers share it.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     one_plus_z = PowerSeries(np.concatenate([[1.0, 1.0], np.zeros(max(order - 1, 0))])

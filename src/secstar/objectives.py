@@ -44,8 +44,12 @@ class BoxPoint:
 
 
 def h2_bound_surface(p: float, rho: float) -> float:
-    """Printed majorant of 768 |H2(2)|, scaled back by 1/768."""
-    if not (0.0 <= p <= 2.0 and 0.0 <= rho <= 1.0):
+    """Printed majorant of 768 |H2(2)|, scaled back by 1/768.
+
+    Accepts scalars or equal-shaped arrays (the maximizer passes its mesh).
+    """
+    inside = (0.0 <= p) & (p <= 2.0) & (0.0 <= rho) & (rho <= 1.0)
+    if not np.all(inside):
         raise ValueError("(p, rho) outside [0,2]x[0,1]")
     t = 4.0 - p * p
     return (p**4 + 12.0 * p * p * t * rho

@@ -12,6 +12,11 @@ exist for the caller who wants to line orders up again.
 Coefficients are stored as an immutable ``numpy`` array of ``complex128``.
 Exactness claims elsewhere in the package mean "double precision", not
 rational arithmetic.
+
+Division, composition and the exponential run on batches: the ``*_rows``
+kernels take ``(B, N+1)`` arrays whose rows are B series of one order and
+transform every row at once.  :class:`PowerSeries` calls them with B = 1, so
+a series built one at a time and row i of a batch agree to the last bit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["PowerSeries", "elementary", "exp_integral_lift"]
+__all__ = ["PowerSeries", "elementary", "exp_integral_lift", "div_rows",
+           "compose_rows", "exp_rows", "lift_rows"]
 
 #: Division refuses constant terms at or below this magnitude.
 _DIV_FLOOR = 1e-300
@@ -106,19 +112,7 @@ class PowerSeries:
     def __truediv__(self, other):
         if isinstance(other, PowerSeries):
             self._require_same_order(other)
-            b = other._c
-            if abs(b[0]) <= _DIV_FLOOR:
-                raise ZeroDivisionError(
-                    "series division needs a nonzero constant term"
-                )
-            n = self._c.size
-            out = np.empty(n, dtype=np.complex128)
-            for k in range(n):
-                acc = self._c[k]
-                if k:
-                    acc = acc - np.dot(out[:k], b[k:0:-1])
-                out[k] = acc / b[0]
-            return PowerSeries(out)
+            return PowerSeries(div_rows(self._c[None], other._c[None])[0])
         return PowerSeries(self._c / other)
 
     def __rtruediv__(self, other):
@@ -150,25 +144,11 @@ class PowerSeries:
         composition of truncations is ill-defined.
         """
         self._require_same_order(inner)
-        if inner._c[0] != 0:
-            raise ValueError("compose requires inner constant term exactly 0")
-        n = self._c.size
-        acc = np.zeros(n, dtype=np.complex128)
-        acc[0] = self._c[-1]
-        for k in range(n - 2, -1, -1):
-            acc = np.convolve(acc, inner._c)[:n]
-            acc[0] += self._c[k]
-        return PowerSeries(acc)
+        return PowerSeries(compose_rows(self._c, inner._c[None])[0])
 
     def exp(self) -> "PowerSeries":
         """Series exponential via the ODE recurrence g' = f'·g."""
-        n = self._c.size
-        fd = self._c[1:] * np.arange(1, n)
-        out = np.empty(n, dtype=np.complex128)
-        out[0] = cmath.exp(self._c[0])
-        for k in range(n - 1):
-            out[k + 1] = np.dot(fd[: k + 1], out[k::-1]) / (k + 1)
-        return PowerSeries(out)
+        return PowerSeries(exp_rows(self._c[None])[0])
 
     def log(self) -> "PowerSeries":
         """Series logarithm (principal branch at the constant term)."""
@@ -263,17 +243,71 @@ def exp_integral_lift(q: PowerSeries) -> PowerSeries:
     so that ``z f'(z)/f(z) = q(z)`` through the truncation order.  Requires
     ``q(0) = 1``; the result has ``f0 = 0`` and ``f1 = 1`` exactly.
     """
-    if abs(q.coeffs[0] - 1.0) > 1e-9:
+    return PowerSeries(lift_rows(q.coeffs[None])[0])
+
+
+# -- row kernels -----------------------------------------------------------
+#
+# Each kernel maps (B, N+1) complex arrays to a (B, N+1) array and treats
+# every row on its own: no row's result depends on B or on the other rows.
+
+
+def div_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise quotients a / b by long division."""
+    b0 = b[:, 0]
+    if (np.abs(b0) <= _DIV_FLOOR).any():
+        raise ZeroDivisionError("series division needs a nonzero constant term")
+    out = np.empty(a.shape, dtype=np.complex128)
+    out[:, 0] = a[:, 0] / b0
+    for k in range(1, out.shape[1]):
+        out[:, k] = (a[:, k] - (out[:, :k] * b[:, k:0:-1]).sum(axis=1)) / b0
+    return out
+
+
+def compose_rows(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Rows of outer(inner_i(z)) for one outer series and a batch of inners.
+
+    Horner's scheme: each step is a truncated product with inner, done as
+    one batched lower-triangular Toeplitz matrix-vector product.  Every
+    inner constant term must be exactly zero, otherwise the composition of
+    truncations is ill-defined.
+    """
+    if (inner[:, 0] != 0).any():
+        raise ValueError("compose requires inner constant term exactly 0")
+    n = outer.size
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
+    # C order: the matrix product then takes the same path for every B.
+    toeplitz = np.ascontiguousarray(
+        np.where(lag >= 0, inner[:, np.maximum(lag, 0)], 0.0))
+    acc = np.zeros(inner.shape, dtype=np.complex128)
+    acc[:, 0] = outer[-1]
+    for k in range(n - 2, -1, -1):
+        acc = np.matmul(toeplitz, acc[:, :, None])[:, :, 0]
+        acc[:, 0] += outer[k]
+    return acc
+
+
+def exp_rows(f: np.ndarray) -> np.ndarray:
+    """Row-wise series exponentials via the ODE recurrence g' = f'·g."""
+    n = f.shape[1]
+    fd = f[:, 1:] * np.arange(1, n)
+    out = np.empty(f.shape, dtype=np.complex128)
+    out[:, 0] = np.exp(f[:, 0])
+    for k in range(n - 1):
+        out[:, k + 1] = (fd[:, : k + 1] * out[:, k::-1]).sum(axis=1) / (k + 1)
+    return out
+
+
+def lift_rows(q: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`exp_integral_lift`: rows of z exp(integral (q-1)/t)."""
+    if (np.abs(q[:, 0] - 1.0) > 1e-9).any():
         raise ValueError("exp_integral_lift requires q(0) = 1")
-    n = q.order
+    n = q.shape[1] - 1
     # (q(t)-1)/t integrated termwise: coefficient k is q_k / k.
-    h = np.zeros(n + 1, dtype=np.complex128)
+    h = np.zeros(q.shape, dtype=np.complex128)
+    h[:, 1:] = q[:, 1:] / np.arange(1, n + 1)
+    out = np.zeros(q.shape, dtype=np.complex128)
     if n >= 1:
-        h[1:] = q.coeffs[1:] / np.arange(1, n + 1)
-    inner = PowerSeries(h).exp()
-    out = np.empty(n + 1, dtype=np.complex128)
-    out[0] = 0.0
-    out[1:] = inner.coeffs[:-1] if n >= 1 else []
-    if n >= 1:
-        out[1] = 1.0
-    return PowerSeries(out)
+        out[:, 1:] = exp_rows(h)[:, :-1]
+        out[:, 1] = 1.0
+    return out

@@ -5,6 +5,10 @@ computes every coefficient functional, and aggregates extremes and flag
 failures.  Per-sample seeds are base_seed + index, so any single sample can
 be reproduced in isolation and the batch result is independent of execution
 order.
+
+Members are synthesized, measured and screened for containment in blocks of
+``BLOCK`` (128) members on the batched engine; the block size bounds the
+memory a search holds and does not change any result.
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .caratheodory import (HerglotzMeasure, log_derivative_on_circle,
+import numpy as np
+
+from .caratheodory import (BLOCK, HerglotzMeasure, log_derivative_rows,
                            measure_equal_atoms, measure_single_atom,
-                           member_from_measure, sample_measure)
-from .functionals import compute_report
+                           member_rows, pack_measures, sample_measure)
+from .functionals import FunctionalColumns, functional_columns, modulus
 from .generator import ImageRegion
 
 __all__ = ["SearchConfig", "SearchSummary", "designated_measures", "run_search"]
@@ -53,20 +59,22 @@ class SearchSummary:
     flag_failures: dict[str, int] = field(default_factory=dict)
     containment_failures: int = 0
 
-    def record(self, report) -> None:
-        self.samples += 1
-        self.max_abs_a2 = max(self.max_abs_a2, abs(report.a2))
-        self.max_abs_a3 = max(self.max_abs_a3, abs(report.a3))
-        self.max_abs_a4 = max(self.max_abs_a4, abs(report.a4))
-        self.max_abs_a5 = max(self.max_abs_a5, abs(report.a5))
-        self.max_abs_h22 = max(self.max_abs_h22, abs(report.h22))
-        self.max_abs_h31 = max(self.max_abs_h31, abs(report.h31))
-        self.t21_min = min(self.t21_min, report.t21)
-        self.t21_max = max(self.t21_max, report.t21)
-        self.t31_min = min(self.t31_min, report.t31)
-        for name, ok in report.flags.items():
-            if not ok:
-                self.flag_failures[name] = self.flag_failures.get(name, 0) + 1
+    def record(self, cols: FunctionalColumns) -> None:
+        """Fold a block of members into the extremes and failure counts."""
+        self.samples += cols.a2.size
+        self.max_abs_a2 = max(self.max_abs_a2, float(modulus(cols.a2).max()))
+        self.max_abs_a3 = max(self.max_abs_a3, float(modulus(cols.a3).max()))
+        self.max_abs_a4 = max(self.max_abs_a4, float(modulus(cols.a4).max()))
+        self.max_abs_a5 = max(self.max_abs_a5, float(modulus(cols.a5).max()))
+        self.max_abs_h22 = max(self.max_abs_h22, float(modulus(cols.h22).max()))
+        self.max_abs_h31 = max(self.max_abs_h31, float(modulus(cols.h31).max()))
+        self.t21_min = min(self.t21_min, float(cols.t21.min()))
+        self.t21_max = max(self.t21_max, float(cols.t21.max()))
+        self.t31_min = min(self.t31_min, float(cols.t31.min()))
+        for name, ok in cols.flags.items():
+            failed = int(ok.size - np.count_nonzero(ok))
+            if failed:
+                self.flag_failures[name] = self.flag_failures.get(name, 0) + failed
 
     def enforced_failures(self) -> dict[str, int]:
         return {k: v for k, v in self.flag_failures.items() if k != "a5_le_third"}
@@ -92,13 +100,13 @@ def run_search(config: SearchConfig = SearchConfig()) -> SearchSummary:
                     for i in range(config.count))
 
     region = ImageRegion(config.region_samples) if config.check_containment else None
-    for m in measures:
-        member = member_from_measure(m, config.order)
-        summary.record(compute_report(member))
+    for start in range(0, len(measures), BLOCK):
+        weights, atoms = pack_measures(measures[start:start + BLOCK])
+        summary.record(functional_columns(member_rows(weights, atoms, config.order)))
         if region is not None:
-            w = log_derivative_on_circle(m, config.containment_radius,
-                                         config.containment_points)
+            w = log_derivative_rows(weights, atoms, config.containment_radius,
+                                    config.containment_points)
             inside = region.contains_batch(w, boundary_tol=config.boundary_tol)
-            if not inside.all():
-                summary.containment_failures += 1
+            summary.containment_failures += int(
+                (~inside.reshape(w.shape).all(axis=1)).sum())
     return summary

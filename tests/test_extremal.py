@@ -5,7 +5,7 @@ import pytest
 
 from secstar.extremal import (ClassMember, build_extremal, distortion_envelope,
                               growth_envelope, rotation_bound)
-from secstar.generator import phi_series
+from secstar.generator import g_eval, phi_series
 from secstar.series import PowerSeries
 
 
@@ -130,6 +130,20 @@ def test_distortion_envelope_at_half():
     lo, hi = distortion_envelope(0.5)
     assert abs(lo - DISTORTION_05[0]) < 1e-9
     assert abs(hi - DISTORTION_05[1]) < 1e-9
+
+
+@pytest.mark.parametrize("r", [k / 20 for k in range(1, 20)])
+def test_envelopes_match_closed_forms(r):
+    # f2(z) = z exp(g(z)) and f2'(z) = exp(g(z)) (1 + z)/cos z, with g by
+    # quadrature; the distortion sweep covers r = 0.85 and 0.90, where an
+    # order-64 derivative series fails its own tail check.
+    g_minus, g_plus = g_eval(-r).real, g_eval(r).real
+    lo, hi = growth_envelope(r)
+    assert abs(lo - r * math.exp(g_minus)) < 1e-9
+    assert abs(hi - r * math.exp(g_plus)) < 1e-9
+    lo, hi = distortion_envelope(r)
+    assert abs(lo - math.exp(g_minus) * (1 - r) / math.cos(r)) < 1e-9
+    assert abs(hi - math.exp(g_plus) * (1 + r) / math.cos(r)) < 1e-9
 
 
 def test_envelopes_reject_radius_one():

@@ -74,6 +74,14 @@ def test_maximize_cuboid_surface():
     assert np.allclose(argmax, (0.0, 0.0, 1.0), atol=1e-9)
 
 
+def test_maximize_h2_surface_peaks_at_corner():
+    # The printed H2(2) majorant peaks at (p, rho) = (2, 1) with 17/48, the
+    # same value as the reduced quartic.
+    argmax, value = maximize_box("g_h2")
+    assert np.allclose(argmax, (2.0, 1.0), atol=1e-12)
+    assert abs(value - 17 / 48) < 1e-15
+
+
 def test_maximize_univariate_closed_forms():
     _, v1 = maximize_box("k1")
     assert abs(v1 - K1_MAX) < 1e-10

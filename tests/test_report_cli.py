@@ -160,3 +160,36 @@ def test_cli_order_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--order", "100", "extremal", "--n", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sample", "--count", "-1"], "--count must be at least 1"),
+    (["sample", "--count", "0"], "--count must be at least 1"),
+    (["convolution-check", "--n", "2", "--z-radii", "0"],
+     "need at least 2 z radii and 2 z angles"),
+    (["convolution-check", "--n", "2", "--z-radii", "1", "--z-angles", "1"],
+     "need at least 2 z radii and 2 z angles"),
+])
+def test_cli_rejects_degenerate_counts(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_sample_batch_matches_single_members(capsys):
+    _, batch = run_cli(capsys, ["sample", "--count", "3", "--seed", "11"])
+    singles = []
+    for seed in (11, 12, 13):
+        _, out = run_cli(capsys, ["sample", "--count", "1", "--seed", str(seed)])
+        singles += json.loads(out)
+    assert json.loads(batch) == singles
+
+
+def test_cli_optimize_h2_surface(capsys):
+    code, out = run_cli(capsys, ["optimize", "--objective", "g_h2"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["argmax"] == [2, 1]
+    assert abs(data["value"] - 17 / 48) < 1e-15
