@@ -3,7 +3,8 @@
 Subcommands: coeffs, phi, extremal, sample, functionals, optimize, radius,
 constants, convolution-check, report.  Results go to stdout as canonical
 JSON (or CSV with --csv); diagnostics go to stderr.  Exit codes: 0 success,
-2 usage error, 3 verification failure.
+2 usage error, 3 verification failure (a failed report row or a numerical
+self-check raising RuntimeError).
 """
 
 from __future__ import annotations
@@ -360,6 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        # The numerical self-checks (series tail, quadrature depth, sampled
+        # ranges) raise RuntimeError: a verification failure, not bad input.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

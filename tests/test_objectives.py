@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from secstar.caratheodory import SchurPoint, caratheodory_from_schur
 from secstar.functionals import hankel_h31
@@ -10,6 +11,7 @@ from secstar.objectives import (OBJECTIVES, BoxPoint, edge_k1, edge_k6,
                                 h2_reduced_polynomial, h3_bound_surface,
                                 maximize_box)
 from secstar.caratheodory import coefficients_from_prefix
+from secstar.scan import top_k
 
 K1_MAX = (7 * math.sqrt(21) - 27) / 300
 K6_MAX = 1 / (12 * math.sqrt(3))
@@ -111,6 +113,26 @@ def test_maximize_rejects_unknown_or_coarse():
         maximize_box("nope")
     with pytest.raises(ValueError):
         maximize_box("k1", grid=11)
+
+
+@given(values=st.lists(st.integers(0, 4), min_size=1, max_size=300),
+       data=st.data())
+def test_top_k_equals_stable_full_sort(values, data):
+    # Five distinct values force ties, at the k-th largest value too.
+    flat = np.array(values, dtype=float)
+    k = data.draw(st.integers(1, flat.size))
+    assert top_k(flat, k).tolist() == np.argsort(-flat, kind="stable")[:k].tolist()
+
+
+def test_top_k_ties_at_kth_value_keep_first_occurrence():
+    flat = np.array([[3.0, 1.0, 3.0], [2.0, 3.0, 2.0]])
+    assert top_k(flat, 2).tolist() == [0, 2]
+    assert top_k(flat, 4).tolist() == [0, 2, 4, 3]
+    for k in (0, 7):
+        with pytest.raises(ValueError):
+            top_k(flat, k)
+    with pytest.raises(ValueError):
+        maximize_box("k1", refine_starts=0)
 
 
 def test_stationary_points_by_finite_differences():

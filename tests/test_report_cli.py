@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from secstar import cli
+from secstar import cli, extremal, generator, subordination
+from secstar.series import PowerSeries
 from secstar.report import CONFLICT, MATCH, MISMATCH, report_ok
 from secstar.serialize import canonical_json
 
@@ -193,3 +197,81 @@ def test_cli_optimize_h2_surface(capsys):
     data = json.loads(out)
     assert data["argmax"] == [2, 1]
     assert abs(data["value"] - 17 / 48) < 1e-15
+
+
+# -- numerical self-checks: RuntimeError maps to exit 3 ------------------------
+
+
+def _envelope_with_large_tail(monkeypatch):
+    # No subcommand evaluates an envelope: run the guard from the extremal one.
+    monkeypatch.setattr(extremal, "_envelope_series",
+                        lambda r, derivative=False: PowerSeries(np.ones(65)))
+    monkeypatch.setattr(cli, "_cmd_extremal",
+                        lambda args: extremal.growth_envelope(0.99))
+    return ["extremal"], "envelope series tail estimate exceeds 1e-10"
+
+
+def _radial_range_escape(monkeypatch):
+    # No subcommand calls radial_real_range: run the guard from the phi one.
+    monkeypatch.setattr(generator, "_phi_values", lambda z: (1.0 + z) / np.cos(z) + 1.0)
+    monkeypatch.setattr(cli, "_cmd_phi", lambda args: generator.radial_real_range(0.5))
+    return ["phi"], "sampled Re phi escapes the radial range"
+
+
+def _simpson_depth(monkeypatch):
+    # A jump at |t| = 1/3 never meets the Simpson error test.
+    monkeypatch.setattr(generator, "_g_integrand",
+                        lambda t: 1.0 if abs(t) > 1 / 3 else 0.0)
+    return ["constants"], "adaptive Simpson failed to converge (bug)"
+
+
+def _parabola_no_minima(monkeypatch):
+    monkeypatch.setattr(subordination, "local_minima", lambda f, xs, tol=1e-12: [])
+    return ["constants"], "no interior local minima found (bug)"
+
+
+def _parabola_no_off_axis_minimum(monkeypatch):
+    monkeypatch.setattr(subordination, "local_minima",
+                        lambda f, xs, tol=1e-12: [(0.0, -11.5)])
+    return ["constants"], "off-axis stationary minimum not found (bug)"
+
+
+@pytest.mark.parametrize("guard", [_envelope_with_large_tail, _radial_range_escape,
+                                   _simpson_depth, _parabola_no_minima,
+                                   _parabola_no_off_axis_minimum])
+def test_cli_runtime_guards_exit_three(capsys, monkeypatch, guard):
+    argv, message = guard(monkeypatch)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# -- no scipy at run time ---------------------------------------------------------
+
+_NO_SCIPY_CHILD = """
+import contextlib, io, json, sys
+import secstar, secstar.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.modules["scipy"] = None   # any later import of scipy raises ImportError
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = secstar.cli.main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+def test_runtime_path_loads_no_scipy(capsys):
+    commands = [["optimize", "--objective", "g_h3"], ["constants"], ["report"]]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(commands)],
+                           capture_output=True, text=True, env=env, check=True)
+    result = json.loads(child.stdout)
+    assert result["loaded"] == []
+    assert result["runs"] == [list(run_cli(capsys, argv)) for argv in commands]
+    assert all(code == 0 for code, _ in result["runs"])
