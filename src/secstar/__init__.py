@@ -8,7 +8,7 @@ values and the decimals quoted in the source material.
 from .series import PowerSeries, elementary, exp_integral_lift
 from .generator import (CircleSample, ImageRegion, PhiBounds, g_eval, g_series,
                         phi_eval, phi_global_bounds, phi_series,
-                        radial_real_range, region_contains, sample_circle)
+                        radial_real_range, sample_circle)
 from .extremal import (ClassMember, build_extremal, distortion_envelope,
                        growth_envelope, rotation_bound)
 from .caratheodory import (HerglotzMeasure, SchurPoint, caratheodory_from_schur,

@@ -49,6 +49,7 @@ __all__ = [
     "caratheodory_from_schur",
     "caratheodory_from_schur_printed",
     "coefficients_from_prefix",
+    "toeplitz_min_eigenvalue",
     "toeplitz_psd_check",
 ]
 
@@ -278,13 +279,11 @@ def coefficients_from_prefix(p1, p2, p3, p4):
     return a2, a3, a4, a5
 
 
-def toeplitz_psd_check(p_coeffs: Sequence[complex], size: int,
-                       floor: float = -1e-9) -> bool:
-    """Positive-semidefiniteness of the Hermitian Toeplitz moment matrix.
+def toeplitz_min_eigenvalue(p_coeffs: Sequence[complex], size: int) -> float:
+    """Smallest eigenvalue of the Hermitian Toeplitz moment matrix.
 
     The matrix has 2 on the diagonal and p_1 .. p_{size-1} on the
-    superdiagonals; eigenvalues are allowed to dip to ``floor`` to absorb
-    double-precision eigensolver noise.
+    superdiagonals.
     """
     p = [complex(v) for v in p_coeffs]
     if size < 1 or size > len(p) + 1:
@@ -295,4 +294,14 @@ def toeplitz_psd_check(p_coeffs: Sequence[complex], size: int,
         for j in range(i + 1, size):
             T[i, j] = p[j - i - 1]
             T[j, i] = np.conj(p[j - i - 1])
-    return bool(np.linalg.eigvalsh(T).min() >= floor)
+    return float(np.linalg.eigvalsh(T).min())
+
+
+def toeplitz_psd_check(p_coeffs: Sequence[complex], size: int,
+                       floor: float = -1e-9) -> bool:
+    """Positive-semidefiniteness of the Hermitian Toeplitz moment matrix.
+
+    Eigenvalues are allowed to dip to ``floor`` to absorb double-precision
+    eigensolver noise.
+    """
+    return toeplitz_min_eigenvalue(p_coeffs, size) >= floor

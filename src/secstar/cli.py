@@ -1,20 +1,23 @@
 """Command-line front end.
 
 Subcommands: coeffs, phi, extremal, sample, functionals, optimize, radius,
-constants, convolution-check, report.  Results go to stdout as canonical
-JSON (or CSV with --csv); diagnostics go to stderr.  Exit codes: 0 success,
-2 usage error, 3 verification failure (a failed report row or a numerical
-self-check raising RuntimeError).
+constants, convolution-check, search, report.  Results go to stdout as
+canonical JSON (or CSV with --csv); diagnostics go to stderr.  Exit codes:
+0 success, 2 usage error, 3 verification failure (a failed report row, an
+enforced search flag or containment failure, or a numerical self-check
+raising RuntimeError).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import caratheodory, extremal, functionals, generator, objectives
-from . import radii, report as report_mod, subordination
+from . import radii, report as report_mod, subordination, validation
+from .published import PUBLISHED
 from .serialize import canonical_json, complex_pair, csv_lines
 
 EXIT_OK = 0
@@ -68,16 +71,10 @@ def _cmd_coeffs(args) -> int:
 def _cmd_phi(args) -> int:
     if args.circle is not None:
         sample = generator.sample_circle(args.circle, args.samples or 4096)
-        if args.csv:
-            sys.stdout.write(sample.to_csv())
-        else:
-            payload = {
-                "radius": sample.radius,
-                "count": sample.count,
-                "points": [[float(t), v.real, v.imag]
-                           for t, v in zip(sample.thetas, sample.values)],
-            }
-            sys.stdout.write(canonical_json(payload))
+        points = [[float(t), v.real, v.imag]
+                  for t, v in zip(sample.thetas, sample.values)]
+        _emit(args, {"radius": sample.radius, "count": sample.count, "points": points},
+              csv_header=["theta", "re", "im"], csv_rows=points)
         return EXIT_OK
     if args.bounds:
         b = generator.phi_global_bounds(args.samples or 4096)
@@ -114,6 +111,9 @@ def _cmd_extremal(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be at least 1")
+    if args.order < 2:
+        # The CSV rows carry a2.
+        raise ValueError("sample needs --order of at least 2")
     measures = [caratheodory.sample_measure(args.seed + i, args.max_atoms)
                 for i in range(args.count)]
     out = []
@@ -181,40 +181,29 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    rows: list[dict] = []
-    for rep in subordination.gamma_constants().values():
-        rows.append({"name": rep.name, "computed": rep.computed,
-                     "paper_value": rep.paper_value, "abs_diff": rep.abs_diff})
-    for target in ("exp", "cardioid", "sine"):
-        rows.append({"name": f"threshold_{target}",
-                     "computed": subordination.subordination_threshold(target),
-                     "paper_value": None, "abs_diff": None})
+    # (name, computed value, report row whose published value applies)
+    entries = [(rep.name, rep.computed, rep.name)
+               for rep in subordination.gamma_constants().values()]
+    entries += [(f"threshold_{t}", subordination.subordination_threshold(t), None)
+                for t in ("exp", "cardioid", "sine")]
     par = subordination.parabola_b0()
-    rows.append({"name": "parabola_min_value", "computed": par.min_value,
-                 "paper_value": -0.988408,
-                 "abs_diff": abs(par.min_value + 0.988408)})
-    rows.append({"name": "parabola_theta", "computed": par.theta_min,
-                 "paper_value": -2.47734,
-                 "abs_diff": abs(par.theta_min + 2.47734)})
-    rows.append({"name": "b0", "computed": par.b0, "paper_value": -0.005796,
-                 "abs_diff": abs(par.b0 + 0.005796)})
-    for name, val in subordination.misc_constants().items():
-        rows.append({"name": name, "computed": val, "paper_value": None,
-                     "abs_diff": None})
+    entries += [("parabola_min_value", par.min_value, "parabola_min_value"),
+                ("parabola_theta", par.theta_min, "parabola_theta"),
+                ("b0", par.b0, "parabola_b0")]
+    entries += [(name, val, None)
+                for name, val in subordination.misc_constants().items()]
     inc = radii.inclusion_constants()
-    rows.append({"name": "kst_threshold", "computed": inc.kst_threshold,
-                 "paper_value": 1.37016,
-                 "abs_diff": abs(inc.kst_threshold - 1.37016)})
-    rows.append({"name": "mu_beta_threshold", "computed": inc.mu_beta_threshold,
-                 "paper_value": None, "abs_diff": None})
+    entries += [("kst_threshold", inc.kst_threshold, "kst_threshold"),
+                ("mu_beta_threshold", inc.mu_beta_threshold, None)]
     t0, a0 = radii.stp_constant(args.samples or 4096)
-    rows.append({"name": "stp_theta0", "computed": t0, "paper_value": 0.665124,
-                 "abs_diff": abs(t0 - 0.665124)})
-    rows.append({"name": "stp_a0", "computed": a0, "paper_value": 0.402301,
-                 "abs_diff": abs(a0 - 0.402301)})
+    entries += [("stp_theta0", t0, "stp_theta0"), ("stp_a0", a0, "stp_a0")]
     b = generator.phi_global_bounds(args.samples or 4096)
-    rows.append({"name": "gamma0", "computed": b.im_abs_max,
-                 "paper_value": 1.6471, "abs_diff": abs(b.im_abs_max - 1.6471)})
+    entries.append(("gamma0", b.im_abs_max, "gamma0"))
+    rows = []
+    for name, computed, row in entries:
+        paper = None if row is None else PUBLISHED[row][0]
+        rows.append({"name": name, "computed": computed, "paper_value": paper,
+                     "abs_diff": None if paper is None else abs(computed - paper)})
     _emit(args, rows,
           csv_header=["name", "computed", "paper_value", "abs_diff"],
           csv_rows=[[r["name"], r["computed"],
@@ -241,11 +230,18 @@ def _cmd_convolution_check(args) -> int:
     return EXIT_OK
 
 
+def _cmd_search(args) -> int:
+    summary = validation.run_search(validation.SearchConfig(
+        count=args.samples or 10_000, seed=args.seed, order=args.order))
+    _emit(args, asdict(summary))
+    failed = summary.enforced_failures() or summary.containment_failures
+    return EXIT_VERIFY if failed else EXIT_OK
+
+
 def _cmd_report(args) -> int:
     rows = report_mod.discrepancy_report(search_count=args.samples or 2000,
                                          seed=args.seed)
-    payload = report_mod.report_rows_as_dicts(rows)
-    _emit(args, payload,
+    _emit(args, [asdict(r) for r in rows],
           csv_header=["constant_name", "paper_value", "computed_value",
                       "abs_diff", "status", "tolerance", "expected_status"],
           csv_rows=[[r.constant_name, r.paper_value, r.computed_value,
@@ -344,6 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, top_level=False)
     p.set_defaults(handler=_cmd_convolution_check)
 
+    p = sub.add_parser("search", help="seeded random-search validation summary")
+    _add_common(p, top_level=False)
+    p.set_defaults(handler=_cmd_search)
+
     p = sub.add_parser("report", help="consolidated discrepancy report")
     _add_common(p, top_level=False)
     p.set_defaults(handler=_cmd_report)
@@ -356,9 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if not 0 <= args.order <= MAX_ORDER:
         ap.error(f"--order must lie in [0, {MAX_ORDER}]")
+    if args.samples is not None and args.samples < 1:
+        ap.error("--samples must be at least 1")
     try:
         return args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .generator import phi_series
 from .scan import refine_max
-from .series import PowerSeries, exp_integral_lift
+from .series import PowerSeries
 
 __all__ = [
     "ClassMember",
@@ -61,22 +61,17 @@ def _phi_of_power(order: int, m: int) -> PowerSeries:
     return PowerSeries(c)
 
 
-def build_extremal(n: int, order: int, method: str = "recurrence") -> ClassMember:
-    """Member f_n with z f_n'/f_n = phi(z^{n-1}).
+def build_extremal(n: int, order: int) -> ClassMember:
+    """Member f_n with z f_n'/f_n = phi(z^{n-1}), by the coefficient
+    recurrence (k-1) a_k = sum_{j<k} q_{k-j} a_j.
 
-    ``method`` selects the construction path: the coefficient recurrence
-    (k-1) a_k = sum_{j<k} q_{k-j} a_j, or the exponential-integral lift.
-    Both agree to double precision; tests cross-check them.
+    The tests check it against the exponential-integral lift of phi(z^{n-1}).
     """
     if n < 2:
         raise ValueError("extremal index must be >= 2")
     if order < n:
         raise ValueError("order must be at least n")
     q = _phi_of_power(order, n - 1)
-    if method == "lift":
-        return ClassMember(exp_integral_lift(q), provenance=f"extremal-{n}")
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
     qc = q.coeffs
     a = np.zeros(order + 1, dtype=np.complex128)
     a[1] = 1.0

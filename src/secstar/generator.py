@@ -30,7 +30,6 @@ __all__ = [
     "CircleSample",
     "sample_circle",
     "ImageRegion",
-    "region_contains",
     "g_eval",
     "g_series",
 ]
@@ -139,12 +138,6 @@ class CircleSample:
     def count(self) -> int:
         return self.thetas.size
 
-    def to_csv(self) -> str:
-        lines = ["theta,re,im"]
-        for t, v in zip(self.thetas, self.values):
-            lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def sample_circle(radius: float, count: int) -> CircleSample:
     if not 0.0 < radius <= 1.0:
@@ -246,15 +239,6 @@ class ImageRegion:
             elif boundary_tol > 0.0 and self.distance_to_boundary(w) <= boundary_tol:
                 res[i] = True
         return res
-
-
-def region_contains(w: complex, samples: int = 4096) -> bool:
-    """True iff the boundary polyline winds once about w.
-
-    Points within 1e-6 of the polyline are boundary cases; use
-    :meth:`ImageRegion.classify` to have them reported separately.
-    """
-    return ImageRegion(samples).contains(w)
 
 
 # -- the primitive g -----------------------------------------------------

@@ -9,33 +9,31 @@ with itself about the quantity (in which case no tolerance can save it).
 Every row also carries the status the workbench *expects* from the
 reconstruction; a report whose rows all carry their expected status is a
 passing verification run even though some rows are expected mismatches.
+The published values, tolerances, expected statuses and notes are the
+entries of :data:`secstar.published.PUBLISHED`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .caratheodory import (SchurPoint, caratheodory_from_schur,
                            caratheodory_from_schur_printed,
-                           coefficients_from_prefix)
+                           coefficients_from_prefix, toeplitz_min_eigenvalue)
 from .extremal import build_extremal
 from .functionals import hankel_h31
 from .generator import phi_global_bounds
 from .objectives import h3_bound_surface, maximize_box
+from .published import CONFLICT, MATCH, MISMATCH, PUBLISHED
 from .radii import inclusion_constants, solve_radius, stp_constant
-from .subordination import (PAPER_GAMMA1, PAPER_GAMMA2, PAPER_IM_G_I,
-                            gamma_constants, misc_constants, parabola_b0,
+from .subordination import (gamma_constants, misc_constants, parabola_b0,
                             subordination_threshold)
 from .validation import SearchConfig, run_search
 
-__all__ = ["DiscrepancyEntry", "discrepancy_report", "report_ok"]
-
-MATCH = "match"
-MISMATCH = "mismatch"
-CONFLICT = "paper-internal-conflict"
+__all__ = ["DiscrepancyEntry", "discrepancy_report", "report_ok",
+           "MATCH", "MISMATCH", "CONFLICT"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,10 @@ class DiscrepancyEntry:
     note: str = ""
 
 
-def _entry(name: str, paper: float, computed: float, tol: float,
-           expected: str, note: str = "", conflict: bool = False) -> DiscrepancyEntry:
+def _entry(name: str, computed: float) -> DiscrepancyEntry:
+    paper, tol, expected, note = PUBLISHED[name]
     diff = abs(computed - paper)
-    if conflict:
+    if expected == CONFLICT:
         status = CONFLICT
     else:
         status = MATCH if diff <= tol else MISMATCH
@@ -84,152 +82,50 @@ def _schur_domination_violation(count: int, seed: int) -> float:
     return worst
 
 
-def _printed_prefix_min_eigenvalue() -> float:
-    """Moment-matrix eigenvalue floor of the printed parametrization's
-    canonical counterexample (p, gamma, eta, rho) = (0, 0, 1, 1)."""
-    pt = SchurPoint(p=0.0, gamma=0.0, eta=1.0, rho=1.0)
-    p1, p2, p3, p4 = caratheodory_from_schur_printed(pt)
-    T = np.empty((5, 5), dtype=np.complex128)
-    prefix = [p1, p2, p3, p4]
-    for i in range(5):
-        T[i, i] = 2.0
-        for j in range(i + 1, 5):
-            T[i, j] = prefix[j - i - 1]
-            T[j, i] = np.conj(prefix[j - i - 1])
-    return float(np.linalg.eigvalsh(T).min())
-
-
 def discrepancy_report(search_count: int = 2000,
                        seed: int = 0xC0FFEE) -> list[DiscrepancyEntry]:
-    rows: list[DiscrepancyEntry] = []
-
-    # Image-domain bounds.
+    """One row per entry of :data:`PUBLISHED`, in its order."""
     bounds = phi_global_bounds(8192)
-    rows.append(_entry("gamma0", 1.6471, bounds.im_abs_max, 1e-3, MATCH))
-
-    # Constants of the primitive g.  The published gamma1/gamma2/Im g(i)
-    # decimals all equal the degree-7 partial sum of the series of g, not
-    # the integral; the honest quadrature values land well outside the
-    # tight tolerances, so these rows are expected mismatches.
     gam = gamma_constants()
-    rows.append(_entry("gamma1", PAPER_GAMMA1, gam["gamma1"].computed, 1e-4,
-                       MISMATCH, note="published decimal is the degree-7 "
-                       "partial sum of the series of g"))
-    rows.append(_entry("gamma2", PAPER_GAMMA2, gam["gamma2"].computed, 1e-4,
-                       MISMATCH, note="published decimal is the degree-7 "
-                       "partial sum of the series of g"))
-    rows.append(_entry("im_g_i", PAPER_IM_G_I, gam["im_g_i"].computed, 1e-4,
-                       MISMATCH, note="closed form gd(1) = 0.8657694832..."))
-
-    # Parabolic inclusion constant.
     t0, a0 = stp_constant(8192)
-    rows.append(_entry("stp_a0", 0.402301, a0, 1e-3, MATCH))
-    rows.append(_entry("stp_theta0", 0.665124, t0, 1e-3, MATCH))
-
-    # Parabolic containment threshold (m = 1).
     par = parabola_b0()
-    rows.append(_entry("parabola_min_value", -0.988408, par.min_value, 2e-3,
-                       MATCH, note="off-axis stationary minimum"))
-    rows.append(_entry("parabola_theta", -2.47734, par.theta_min, 1e-3, MATCH))
-    rows.append(_entry("parabola_b0", -0.005796, par.b0, 1e-4, MATCH))
-    rows.append(_entry("parabola_global_min", -0.988408, par.global_min_value,
-                       2e-3, CONFLICT, conflict=True,
-                       note="objective dips to ~-11.52 at theta = 0, where "
-                       "the tested point lies inside every admissible "
-                       "parabola; the published minimum is only local"))
-
-    # Radii.
-    rc = solve_radius("convexity", 0.0)
-    rows.append(_entry("convexity_radius", 0.454, rc.r, 5e-3, MISMATCH,
-                       note="computed root of the displayed equation"))
-
-    # Inclusion constants.
-    inc = inclusion_constants()
-    rows.append(_entry("kst_threshold", 1.37016, inc.kst_threshold, 1e-4, MATCH))
-
-    # Extremal coefficient conflicts.
-    f2 = build_extremal(2, 8)
-    a5 = f2.a(5).real
-    rows.append(_entry("a5_extremal", 35.0 / 96.0, a5, 1e-9, CONFLICT,
-                       conflict=True,
-                       note="recurrence and integral lift give 5/12; the "
-                       "printed 35/96 disagrees, and both exceed the "
-                       "claimed bound 1/3"))
-
-    # Random-search extremes.
     summary = run_search(SearchConfig(count=search_count, seed=seed,
                                       check_containment=False))
-    rows.append(_entry("a5_bound_empirical", 1.0 / 3.0, summary.max_abs_a5,
-                       1e-9, CONFLICT, conflict=True,
-                       note="sharp family maximum exceeds the claimed bound"))
-    rows.append(_entry("h2_member_max", 0.25, summary.max_abs_h22, 1e-9, MATCH))
-    rows.append(_entry("h3_member_max", 1.0 / 9.0, summary.max_abs_h31, 1e-9,
-                       MATCH))
-
-    # Proof-surface anomalies.
-    _, h2_poly_max = maximize_box("g_h2_reduced")
-    rows.append(_entry("h2_reduced_poly_max", 0.25, h2_poly_max, 1e-9,
-                       CONFLICT, conflict=True,
-                       note="the displayed polynomial peaks at p = 2 with "
-                       "value 17/48, not at p = 0"))
-    gap = _schur_domination_violation(2000, seed)
-    rows.append(_entry("h3_majorant_domination_violation", 0.0, gap, 1e-9,
-                       MATCH,
-                       note="(|H3| - majorant)^+ over admissible prefixes; "
-                       "zero means the cuboid surface dominates"))
-    rows.append(_entry("p4_printed_rho_factor_eig", 0.0,
-                       _printed_prefix_min_eigenvalue(), 1e-9, CONFLICT,
-                       conflict=True,
-                       note="the coefficient parametrization as printed "
-                       "carries (1-|gamma|^2) on the rho summand and then "
-                       "admits the prefix (0,0,2,2), whose moment matrix "
-                       "has a negative eigenvalue; the factor must be "
-                       "(1-|eta|^2), which is also what the determinant "
-                       "expansion downstream actually uses"))
-
-    # Subordination thresholds (all inherit the gamma truncation error).
-    rows.append(_entry("exp_threshold", 1.4308,
-                       subordination_threshold("exp"), 1e-4, MISMATCH))
-    rows.append(_entry("cardioid_threshold", 2.45796,
-                       subordination_threshold("cardioid"), 1e-4, MISMATCH))
-    rows.append(_entry("cardioid_label_gamma2", 2.45796,
-                       gam["gamma2"].computed, 1e-4, CONFLICT, conflict=True,
-                       note="the threshold is labeled gamma2 in the source "
-                       "although gamma2 = g(1) ~ 1.55; the proof's quantity "
-                       "is -e*gamma1"))
-    rows.append(_entry("sine_threshold", 1.82614,
-                       subordination_threshold("sine"), 1e-4, MISMATCH))
-
-    # Circle constants behind the sufficiency proofs.
     misc = misc_constants()
-    rows.append(_entry("logderiv_circle_min", misc["logderiv_claimed"],
-                       misc["logderiv_min"], 1e-6, CONFLICT, conflict=True,
-                       note="claimed proof identity forces 1/2 + sech 2; "
-                       "the true circle minimum is 1/2 - tanh 1"))
-    rows.append(_entry("circle_cos_min", math.cos(1.0),
-                       misc["circle_cos_min"], 1e-9, MATCH))
-    rows.append(_entry("circle_sin_max", math.sinh(1.0),
-                       misc["circle_sin_max"], 1e-9, MATCH))
-
-    return rows
+    # The printed parametrization's canonical counterexample.
+    printed = caratheodory_from_schur_printed(
+        SchurPoint(p=0.0, gamma=0.0, eta=1.0, rho=1.0))
+    computed = {
+        "gamma0": bounds.im_abs_max,
+        "gamma1": gam["gamma1"].computed,
+        "gamma2": gam["gamma2"].computed,
+        "im_g_i": gam["im_g_i"].computed,
+        "stp_a0": a0,
+        "stp_theta0": t0,
+        "parabola_min_value": par.min_value,
+        "parabola_theta": par.theta_min,
+        "parabola_b0": par.b0,
+        "parabola_global_min": par.global_min_value,
+        "convexity_radius": solve_radius("convexity", 0.0).r,
+        "kst_threshold": inclusion_constants().kst_threshold,
+        "a5_extremal": build_extremal(2, 8).a(5).real,
+        "a5_bound_empirical": summary.max_abs_a5,
+        "h2_member_max": summary.max_abs_h22,
+        "h3_member_max": summary.max_abs_h31,
+        "h2_reduced_poly_max": maximize_box("g_h2_reduced")[1],
+        "h3_majorant_domination_violation": _schur_domination_violation(2000, seed),
+        "p4_printed_rho_factor_eig": toeplitz_min_eigenvalue(printed, 5),
+        "exp_threshold": subordination_threshold("exp"),
+        "cardioid_threshold": subordination_threshold("cardioid"),
+        "cardioid_label_gamma2": gam["gamma2"].computed,
+        "sine_threshold": subordination_threshold("sine"),
+        "logderiv_circle_min": misc["logderiv_min"],
+        "circle_cos_min": misc["circle_cos_min"],
+        "circle_sin_max": misc["circle_sin_max"],
+    }
+    return [_entry(name, computed[name]) for name in PUBLISHED]
 
 
 def report_ok(rows: list[DiscrepancyEntry]) -> bool:
     """True when every row carries its expected status."""
     return all(r.status == r.expected_status for r in rows)
-
-
-def report_rows_as_dicts(rows: list[DiscrepancyEntry]) -> list[dict]:
-    out = []
-    for r in rows:
-        out.append({
-            "constant_name": r.constant_name,
-            "paper_value": r.paper_value,
-            "computed_value": r.computed_value,
-            "abs_diff": r.abs_diff,
-            "status": r.status,
-            "tolerance": r.tolerance,
-            "expected_status": r.expected_status,
-            "note": r.note,
-        })
-    return out

@@ -22,8 +22,9 @@ def complex_pair(z: complex) -> list[float]:
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("non-finite value in canonical output")
-    s = f"{x:.17g}"
-    return s
+    if x == 0 and math.copysign(1.0, x) < 0:
+        return "-0.0"  # "-0" would parse back as the integer 0
+    return f"{x:.17g}"
 
 
 def _emit(obj: Any) -> str:

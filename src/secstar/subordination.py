@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import g_eval, g_series
+from .published import PUBLISHED
 from .scan import golden_min, local_minima, refine_max, refine_min
 
 __all__ = [
@@ -46,12 +47,6 @@ class ThresholdReport:
         return abs(self.computed - self.paper_value)
 
 
-#: Published decimals for the g-based constants.
-PAPER_GAMMA1 = -0.904233
-PAPER_GAMMA2 = 1.53664
-PAPER_IM_G_I = 0.862897
-
-
 def gudermannian(x: float) -> float:
     """gd(x) = integral_0^x sech t dt = 2 atan(tanh(x/2))."""
     return 2.0 * math.atan(math.tanh(0.5 * x))
@@ -66,11 +61,8 @@ def gamma_constants() -> dict[str, ThresholdReport]:
     g1 = g_eval(1.0).real
     gm1 = g_eval(-1.0).real
     im_gi = g_eval(1j).imag
-    return {
-        "gamma1": ThresholdReport("gamma1", gm1, PAPER_GAMMA1),
-        "gamma2": ThresholdReport("gamma2", g1, PAPER_GAMMA2),
-        "im_g_i": ThresholdReport("im_g_i", im_gi, PAPER_IM_G_I),
-    }
+    return {name: ThresholdReport(name, value, PUBLISHED[name][0])
+            for name, value in (("gamma1", gm1), ("gamma2", g1), ("im_g_i", im_gi))}
 
 
 def janowski_threshold(A: float, B: float) -> tuple[float, dict[str, float | None]]:
@@ -218,7 +210,7 @@ def misc_constants(samples: int = 4096) -> dict[str, float]:
         "circle_cos_min": cos_min,
         "circle_sin_max": sin_max,
         "logderiv_min": logderiv_min,
-        "logderiv_claimed": 0.5 + 1.0 / math.cosh(2.0),
+        "logderiv_claimed": PUBLISHED["logderiv_circle_min"][0],
     }
 
 

@@ -1,0 +1,100 @@
+"""Edge sweep over argv for the fast subcommands.
+
+Every invocation must end in exit 0, 2 or 3 without an uncaught exception,
+and a successful JSON run must print canonical JSON: parsing the output and
+re-serializing it gives the same bytes.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
+
+from secstar import cli
+from secstar.serialize import canonical_json
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def floats():
+    return st.one_of(st.floats(-2.0, 2.0).map(repr), st.floats().map(repr),
+                     st.sampled_from(["", "x", "1e308", "-1e-320", "0x3"]))
+
+
+def complexes():
+    return st.one_of(
+        st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(str),
+        st.builds(complex, st.floats(), st.floats()).map(str),
+        st.sampled_from(["1e300j", "nanj", "j", "1+", "0.5 + 0.25j", ""]))
+
+
+def given_flag(flag, values=None):
+    """``flag`` (a switch) or ``flag=value``."""
+    if values is None:
+        return st.just([flag])
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+def opt(flag, values=None):
+    return st.one_of(st.just([]), given_flag(flag, values))
+
+
+def flags(*options):
+    return st.tuples(*options).map(lambda parts: [t for part in parts for t in part])
+
+
+COMMON = flags(opt("--order", ints(-2, 70)),
+               opt("--seed", st.one_of(ints(-2, 2**40), st.just("0x3"))),
+               opt("--samples", ints(-3, 5000)), opt("--csv"),
+               opt("--tolerance", floats()))
+
+SUBCOMMANDS = st.one_of(
+    flags(st.just(["coeffs"]),
+          opt("--function", st.sampled_from(["phi", "g", "sec", "cos", "sin", "exp",
+                                             "geometric", "identity", "tan"]))),
+    flags(st.just(["phi"]), opt("--z", complexes()), opt("--bounds"),
+          opt("--circle", floats())),
+    flags(st.just(["extremal"]), opt("--n", ints(-2, 70))),
+    flags(st.just(["functionals"]), opt("--n", ints(-2, 70)),
+          opt("--max-atoms", ints(-1, 10))),
+    flags(st.just(["radius"]),
+          st.tuples(st.sampled_from(["starlike_order", "mu_beta", "convexity",
+                                     "m_starlike", "bogus"]), floats()).map(list)),
+    st.just(["constants"]),
+    flags(st.just(["sample"]), opt("--count", ints(-2, 3)),
+          opt("--max-atoms", ints(-1, 10))),
+    # The grid needs 51 nodes per axis and the convolution margin 360 thetas:
+    # draw on both sides of each limit.
+    flags(st.just(["optimize", "--objective", "k6"]),
+          opt("--grid", st.one_of(ints(-2, 2), ints(49, 70)))),
+    flags(st.just(["convolution-check"]), opt("--n", ints(-2, 70)),
+          opt("--max-atoms", ints(-1, 10)),
+          given_flag("--theta-samples", st.one_of(ints(-2, 2), ints(358, 420))),
+          given_flag("--z-radii", ints(-1, 6)), given_flag("--z-angles", ints(-1, 8))),
+)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150)
+@given(before=COMMON, command=SUBCOMMANDS, after=COMMON)
+def test_cli_argv_edges(before, command, after):
+    argv = before + command + after
+    code, out, err = run(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out
+        if "--csv" not in argv:
+            assert canonical_json(json.loads(out)) == out

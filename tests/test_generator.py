@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from secstar.generator import (CircleSample, g_eval, g_series,
+from secstar import cli
+from secstar.generator import (CircleSample, ImageRegion, g_eval, g_series,
                                phi_eval, phi_global_bounds, phi_series,
-                               radial_real_range, region_contains, sample_circle)
+                               radial_real_range, sample_circle)
 from secstar.series import PowerSeries, elementary
 
 TWO_SEC_ONE = 2.0 / math.cos(1.0)
@@ -117,8 +118,8 @@ def test_region_membership(image_region):
 
 
 def test_region_contains_function():
-    assert region_contains(1.0, samples=2048)
-    assert not region_contains(4.0, samples=2048)
+    assert ImageRegion(2048).contains(1.0)
+    assert not ImageRegion(2048).contains(4.0)
 
 
 def test_region_boundary_classification(image_region):
@@ -136,18 +137,19 @@ def test_region_screen_agrees_with_winding(image_region):
     assert np.array_equal(fast, slow)
 
 
-def test_circle_sample_csv():
+def test_circle_sample_csv(capsys):
     s = sample_circle(1.0, 16)
     assert isinstance(s, CircleSample)
     assert s.count == 16
     assert np.all(np.diff(s.thetas) > 0)
-    text = s.to_csv()
-    lines = text.strip().split("\n")
+    assert cli.main(["phi", "--circle", "1", "--samples", "16", "--csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "theta,re,im"
     assert len(lines) == 17
     # samples are evaluations of phi
-    theta0, re0, im0 = map(float, lines[1].split(","))
-    assert abs(phi_eval(cmath.exp(1j * theta0)) - complex(re0, im0)) < 1e-12
+    for line in lines[1:]:
+        theta, re, im = map(float, line.split(","))
+        assert abs(phi_eval(cmath.exp(1j * theta)) - complex(re, im)) < 1e-12
 
 
 # -- the primitive g --------------------------------------------------------

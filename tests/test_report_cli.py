@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from secstar import cli, extremal, generator, subordination
+from secstar.published import PUBLISHED
 from secstar.series import PowerSeries
 from secstar.report import CONFLICT, MATCH, MISMATCH, report_ok
 from secstar.serialize import canonical_json
@@ -47,6 +48,28 @@ def test_report_a5_row_flags_printed_value(report_rows):
     row = {r.constant_name: r for r in report_rows}["a5_extremal"]
     assert abs(row.paper_value - 35 / 96) < 1e-15
     assert abs(row.computed_value - 5 / 12) < 1e-12
+
+
+def test_report_rows_follow_the_published_table(report_rows):
+    assert [r.constant_name for r in report_rows] == list(PUBLISHED)
+    for r in report_rows:
+        assert (r.paper_value, r.tolerance, r.expected_status, r.note) == \
+            PUBLISHED[r.constant_name]
+
+
+def test_cli_constants_paper_values_come_from_report_rows(capsys):
+    code, out = run_cli(capsys, ["constants"])
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(out)}
+    report_row = {"gamma1": "gamma1", "gamma2": "gamma2", "im_g_i": "im_g_i",
+                  "parabola_min_value": "parabola_min_value",
+                  "parabola_theta": "parabola_theta", "b0": "parabola_b0",
+                  "kst_threshold": "kst_threshold", "stp_theta0": "stp_theta0",
+                  "stp_a0": "stp_a0", "gamma0": "gamma0"}
+    assert {n for n, r in rows.items() if r["paper_value"] is not None} == set(report_row)
+    for name, row in report_row.items():
+        assert rows[name]["paper_value"] == PUBLISHED[row][0]
+        assert rows[name]["abs_diff"] == abs(rows[name]["computed"] - PUBLISHED[row][0])
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -180,6 +203,61 @@ def test_cli_rejects_degenerate_counts(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_cli_negative_zero_round_trips(capsys):
+    code, out = run_cli(capsys, ["phi", "--z", "2"])
+    assert code == 0
+    assert out.endswith(", -0.0]}\n")  # Im phi(2) is a negative zero
+    assert canonical_json(json.loads(out)) == out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sample", "--order", "1"], "sample needs --order of at least 2"),
+    (["phi", "--z", "1e300j"], "math range error"),
+])
+def test_cli_rejects_out_of_range_values(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--samples", "0"],
+    ["report", "--samples", "-5"],
+    ["constants", "--samples", "0"],
+    ["phi", "--bounds", "--samples", "0"],
+])
+def test_cli_rejects_samples_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("error: --samples must be at least 1\n")
+
+
+def test_cli_search_summary(capsys):
+    code, out = run_cli(capsys, ["search", "--samples", "200"])
+    assert code == 0
+    assert canonical_json(json.loads(out)) == out
+    data = json.loads(out)
+    assert data["samples"] == 204
+    maxima = [data[k] for k in ("max_abs_a2", "max_abs_a3", "max_abs_a4",
+                                "max_abs_a5", "max_abs_h22", "max_abs_h31")]
+    assert np.allclose(maxima, [1, 3 / 4, 7 / 12, 5 / 12, 1 / 4, 1 / 9],
+                       rtol=0, atol=1e-12)
+    assert data["containment_failures"] == 0
+
+
+def test_cli_search_containment_failure_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(generator.ImageRegion, "contains_batch",
+                        lambda self, ws, boundary_tol=0.0: np.zeros(np.size(ws), bool))
+    code, out = run_cli(capsys, ["search", "--samples", "8"])
+    assert code == cli.EXIT_VERIFY
+    assert json.loads(out)["containment_failures"] == 12
 
 
 def test_cli_sample_batch_matches_single_members(capsys):
