@@ -358,6 +358,8 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--order must lie in [0, {MAX_ORDER}]")
     if args.samples is not None and args.samples < 1:
         ap.error("--samples must be at least 1")
+    if not args.tolerance >= 0:  # also rejects NaN
+        ap.error("--tolerance must be a non-negative number")
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:

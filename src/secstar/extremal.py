@@ -133,5 +133,6 @@ def rotation_bound(r: float, samples: int = 1024) -> float:
         return abs(cmath.phase(s.evaluate(z) / z))
 
     theta = np.linspace(0.0, math.pi, samples)
-    _, best = refine_max(obj, theta)
+    z = r * np.exp(1j * theta)
+    _, best = refine_max(obj, theta, values=np.abs(np.angle(s.evaluate(z) / z)))
     return best

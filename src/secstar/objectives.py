@@ -188,9 +188,10 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
     if min(shape) < 51:
         raise ValueError("grid must have at least 51 nodes per axis")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vals = np.asarray(fn([m for m in mesh]))
-    flat = vals.ravel()
+    # Sparse axes: each term is computed on the axes it depends on, then
+    # broadcast; every node still sees the same IEEE operations in order.
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    flat = np.broadcast_to(fn(mesh), shape).ravel()
     lo, hi = np.array(bounds).T
 
     best_point = None

@@ -1,11 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from secstar import extremal
 from secstar.extremal import (ClassMember, build_extremal, distortion_envelope,
                               growth_envelope, rotation_bound)
 from secstar.generator import g_eval, phi_series
+from secstar.scan import refine_max
 from secstar.series import PowerSeries, exp_integral_lift
 
 
@@ -164,6 +167,21 @@ def test_rotation_bound_at_half():
     assert 0.0 < val < math.pi / 2
     # Recorded from a 20001-point scan with refinement.
     assert abs(val - 0.4973575893733303) < 1e-5
+
+
+@pytest.mark.parametrize("samples", [256, 1024])
+@pytest.mark.parametrize("r", [0.05, 0.17, 0.33, 0.5, 0.62, 0.78, 0.9, 0.97])
+def test_rotation_bound_equals_scalar_grid_oracle(r, samples):
+    # The array pass may move a grid value by an ulp; golden section still
+    # decides the result, so it must keep every bit of the scalar scan's.
+    s = extremal._envelope_series(r)
+
+    def obj(t):
+        z = r * cmath.exp(1j * t)
+        return abs(cmath.phase(s.evaluate(z) / z))
+
+    theta = np.linspace(0.0, math.pi, samples)
+    assert rotation_bound(r, samples) == refine_max(obj, theta)[1]
 
 
 def test_rotation_bound_monotone():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from secstar import objectives
 from secstar.caratheodory import SchurPoint, caratheodory_from_schur
 from secstar.functionals import hankel_h31
-from secstar.objectives import (OBJECTIVES, BoxPoint, edge_k1, edge_k6,
+from secstar.objectives import (OBJECTIVES, BoxPoint, edge_k1, edge_k4, edge_k6,
                                 face_p0, face_x1, h2_bound_surface,
                                 h2_reduced_polynomial, h3_bound_surface,
                                 maximize_box)
@@ -106,6 +107,62 @@ def test_maximize_result_dominates_grid():
     xs = np.linspace(0, 1, 101)
     grid_best = max(fn((x, y)) for x in xs for y in xs)
     assert value >= grid_best - 1e-15
+
+
+def box_grid_values(monkeypatch, name, grid):
+    """The flat grid values ``maximize_box`` ranks, as it computed them."""
+    seen = []
+
+    def recording_top_k(values, k):
+        seen.append(np.array(values))
+        return top_k(values, k)
+
+    monkeypatch.setattr(objectives, "top_k", recording_top_k)
+    maximize_box(name, grid=grid, refine_starts=1)
+    return seen[0]
+
+
+def dense_grid(bounds, grid):
+    """Dense ``indexing="ij"`` meshes of the grid ``maximize_box`` scans."""
+    shape = objectives._default_grid(len(bounds)) if grid is None else (grid,) * len(bounds)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
+    return np.meshgrid(*axes, indexing="ij")
+
+
+def printed_h3_majorant(p, x, y):
+    """The cuboid majorant transcribed from the print, term by term."""
+    t = 4.0 - p * p
+    g1 = (5.0 * p**6 + 26.0 * p**4 * t * x + 144.0 * p * p * t * x * x
+          + 56.0 * p**4 * t * x * x + 68.0 * p * p * t * t * x * x
+          + 36.0 * p**4 * t * x**3 + 40.0 * p * p * t * t * x**3
+          + 8.0 * p * p * t * t * x**4)
+    g2 = t * (1.0 - x * x) * (40.0 * p**3 + 144.0 * p**3 * x
+                              + 80.0 * p * t * x + 32.0 * p * t * x * x)
+    g3 = t * (1.0 - x * x) * (256.0 * t + 32.0 * t * x * x + 144.0 * p * p * x)
+    g4 = t * (1.0 - y * y) * (144.0 * p * p + 288.0 * t * x) * (1.0 - x * x)
+    return (g1 + g2 * y + g3 * y * y + g4) / 36864.0
+
+
+@pytest.mark.parametrize("grid", [None, 60])
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+def test_sparse_grid_values_equal_dense_bit_for_bit(monkeypatch, name, grid):
+    fn, bounds = OBJECTIVES[name]
+    dense = np.asarray(fn(dense_grid(bounds, grid))).ravel()
+    assert np.array_equal(box_grid_values(monkeypatch, name, grid), dense)
+
+
+@pytest.mark.parametrize("grid", [None, 60])
+def test_g_h3_grid_values_are_the_printed_majorant(monkeypatch, grid):
+    # Any regrouping of the terms moves last bits of the grid values.
+    printed = printed_h3_majorant(*dense_grid(OBJECTIVES["g_h3"][1], grid)).ravel()
+    assert np.array_equal(box_grid_values(monkeypatch, "g_h3", grid), printed)
+
+
+def test_grid_values_fill_axes_the_objective_ignores(monkeypatch):
+    bounds = ((0.0, 2.0), (0.0, 1.0))
+    monkeypatch.setitem(OBJECTIVES, "k4_of_y", (lambda v: edge_k4(v[1]), bounds))
+    dense = edge_k4(dense_grid(bounds, 60)[1]).ravel()
+    assert np.array_equal(box_grid_values(monkeypatch, "k4_of_y", 60), dense)
 
 
 def test_maximize_rejects_unknown_or_coarse():

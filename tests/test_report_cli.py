@@ -239,6 +239,25 @@ def test_cli_rejects_samples_below_one(capsys, argv):
     assert captured.err.endswith("error: --samples must be at least 1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["radius", "convexity", "0.25", "--tolerance", "nan"],
+    ["radius", "convexity", "0.25", "--tolerance", "-1"],
+])
+def test_cli_rejects_bad_tolerance(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("error: --tolerance must be a non-negative number\n")
+
+
+@pytest.mark.parametrize("tolerance,code", [("0", cli.EXIT_VERIFY), ("inf", 0)])
+def test_cli_tolerance_edges_still_accepted(capsys, tolerance, code):
+    assert run_cli(capsys, ["radius", "convexity", "0.25",
+                            "--tolerance", tolerance])[0] == code
+
+
 def test_cli_search_summary(capsys):
     code, out = run_cli(capsys, ["search", "--samples", "200"])
     assert code == 0
