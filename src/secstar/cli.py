@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: coeffs, phi, extremal, sample, functionals, optimize, radius,
-constants, convolution-check, search, report.  Results go to stdout as
-canonical JSON (or CSV with --csv); diagnostics go to stderr.  Exit codes:
-0 success, 2 usage error, 3 verification failure (a failed report row, an
+constants, convolution-check, search, report.  Flags follow the subcommand,
+and each subcommand takes only the flags its handler reads, so a flag it
+would ignore is a usage error.  Results go to stdout as canonical JSON (or
+CSV with --csv, where the subcommand has a table); diagnostics go to stderr.
+Exit codes: 0 success, 2 usage error (bad flags or values, or a request too
+large to allocate), 3 verification failure (a failed report row, an
 enforced search flag or containment failure, or a numerical self-check
 raising RuntimeError).
 """
@@ -30,7 +33,7 @@ MAX_ORDER = 64
 
 
 def _emit(args, payload, csv_header=None, csv_rows=None) -> None:
-    if args.csv and csv_header is not None:
+    if csv_header is not None and args.csv:
         sys.stdout.write(csv_lines(csv_header, csv_rows))
     else:
         sys.stdout.write(canonical_json(payload))
@@ -42,9 +45,13 @@ def _rational_guess(x: float) -> str:
 
 
 def _member_from_args(args) -> extremal.ClassMember:
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
+        if args.seed is not None or args.max_atoms is not None:
+            raise ValueError("--n takes no --seed or --max-atoms")
         return extremal.build_extremal(args.n, args.order)
-    m = caratheodory.sample_measure(args.seed, args.max_atoms)
+    m = caratheodory.sample_measure(
+        DEFAULT_SEED if args.seed is None else args.seed,
+        caratheodory.MAX_ATOMS if args.max_atoms is None else args.max_atoms)
     return caratheodory.member_from_measure(m, args.order)
 
 
@@ -83,6 +90,8 @@ def _cmd_phi(args) -> int:
               csv_header=["re_min", "re_max", "im_abs_max", "arg_abs_max"],
               csv_rows=[[b.re_min, b.re_max, b.im_abs_max, b.arg_abs_max]])
         return EXIT_OK
+    if args.samples is not None:
+        raise ValueError("--samples needs --bounds or --circle")
     z = complex(args.z.replace(" ", "")) if args.z is not None else 0j
     val = generator.phi_eval(z)
     _emit(args, {"z": complex_pair(z), "value": complex_pair(val)},
@@ -252,22 +261,34 @@ def _cmd_report(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+# The shared flags.  Each subcommand takes only those its handler reads.
+_FLAGS = {
+    "order": dict(type=int, default=DEFAULT_ORDER,
+                  help=f"truncation order (default {DEFAULT_ORDER}, max {MAX_ORDER})"),
+    "seed": dict(type=lambda s: int(s, 0), default=DEFAULT_SEED,
+                 help="base seed for anything randomized (default 0xC0FFEE)"),
+    "samples": dict(type=int, help="sample count (per-command default when omitted)"),
+    "csv": dict(action="store_true", help="emit CSV instead of JSON"),
+    "tolerance": dict(type=float, default=1e-12,
+                      help="residual tolerance for a verification exit (default 1e-12)"),
+}
 
-def _add_common(p: argparse.ArgumentParser, top_level: bool) -> None:
-    # On subparsers the defaults are SUPPRESS so flags given after the
-    # subcommand override the top-level values instead of resetting them.
-    d = (lambda v: v) if top_level else (lambda v: argparse.SUPPRESS)
-    p.add_argument("--order", type=int, default=d(DEFAULT_ORDER),
-                   help=f"truncation order (default {DEFAULT_ORDER}, max {MAX_ORDER})")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=d(DEFAULT_SEED),
-                   help="base seed for anything randomized (default 0xC0FFEE)")
-    p.add_argument("--samples", type=int, default=d(None),
-                   help="sample count for scans and searches "
-                        "(per-command defaults when omitted)")
-    p.add_argument("--csv", action="store_true", default=d(False),
-                   help="emit CSV instead of JSON")
-    p.add_argument("--tolerance", type=float, default=d(1e-12),
-                   help="residual tolerance for verification exits")
+
+def _subcommand(sub, name, handler, summary, flags):
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(handler=handler)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return p
+
+
+def _member_options(p) -> None:
+    # --seed and --max-atoms draw a random member and --n replaces it, so
+    # _member_from_args rejects --n with either; None means "not given".
+    p.add_argument("--n", type=int, help="use the lacunary extremal f_n")
+    p.add_argument("--seed", **dict(_FLAGS["seed"], default=None))
+    p.add_argument("--max-atoms", type=int, dest="max_atoms",
+                   help=f"atoms of the random member (default {caratheodory.MAX_ATOMS})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,94 +296,84 @@ def build_parser() -> argparse.ArgumentParser:
         prog="secstar",
         description="Numerical workbench for the starlike class generated by "
                     "(1+z)/cos z.")
-    _add_common(ap, top_level=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", help="series coefficients of a named function")
+    p = _subcommand(sub, "coeffs", _cmd_coeffs, "series coefficients of a named function",
+                    ["order", "csv"])
     p.add_argument("--function", default="phi",
                    choices=["phi", "g", "sec", "cos", "sin", "exp",
                             "geometric", "identity"])
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_coeffs)
 
-    p = sub.add_parser("phi", help="evaluate the generator or its bounds")
-    p.add_argument("--z", help="evaluation point, e.g. '0.5+0.25j'")
-    p.add_argument("--bounds", action="store_true",
-                   help="global image bounds instead of a point value")
-    p.add_argument("--circle", type=float,
-                   help="sample the circle |z| = R (CSV has theta,re,im)")
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_phi)
+    p = _subcommand(sub, "phi", _cmd_phi, "evaluate the generator or its bounds",
+                    ["samples", "csv"])
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--z", help="evaluation point, e.g. '0.5+0.25j' (default 0)")
+    mode.add_argument("--bounds", action="store_true",
+                      help="global image bounds instead of a point value")
+    mode.add_argument("--circle", type=float,
+                      help="sample the circle |z| = R (CSV has theta,re,im)")
 
-    p = sub.add_parser("extremal", help="coefficients of the lacunary extremal f_n")
+    p = _subcommand(sub, "extremal", _cmd_extremal,
+                    "coefficients of the lacunary extremal f_n", ["order", "csv"])
     p.add_argument("--n", type=int, default=2)
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_extremal)
 
-    p = sub.add_parser("sample", help="seeded random members")
+    p = _subcommand(sub, "sample", _cmd_sample, "seeded random members",
+                    ["order", "seed", "csv"])
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--max-atoms", type=int, default=8, dest="max_atoms")
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_sample)
+    p.add_argument("--max-atoms", type=int, default=caratheodory.MAX_ATOMS,
+                   dest="max_atoms")
 
-    p = sub.add_parser("functionals", help="coefficient functionals of one member")
-    p.add_argument("--n", type=int, help="use the lacunary extremal f_n")
-    p.add_argument("--max-atoms", type=int, default=8, dest="max_atoms")
+    p = _subcommand(sub, "functionals", _cmd_functionals,
+                    "coefficient functionals of one member", ["order", "csv"])
+    _member_options(p)
     p.add_argument("--convolution", action="store_true",
                    help="include the convolution margin (slower)")
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_functionals)
 
-    p = sub.add_parser("optimize", help="maximize a named bound surface")
+    p = _subcommand(sub, "optimize", _cmd_optimize, "maximize a named bound surface",
+                    ["csv"])
     p.add_argument("--objective", required=True,
                    choices=sorted(objectives.OBJECTIVES))
     p.add_argument("--grid", type=int, default=None)
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_optimize)
 
-    p = sub.add_parser("radius", help="solve a radius problem")
+    p = _subcommand(sub, "radius", _cmd_radius, "solve a radius problem",
+                    ["tolerance", "csv"])
     p.add_argument("kind", choices=["starlike_order", "mu_beta", "convexity",
                                     "m_starlike"])
     p.add_argument("param", type=float)
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_radius)
 
-    p = sub.add_parser("constants", help="subordination and inclusion constants")
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_constants)
+    _subcommand(sub, "constants", _cmd_constants,
+                "subordination and inclusion constants", ["samples", "csv"])
 
-    p = sub.add_parser("convolution-check", help="convolution nonvanishing margin")
-    p.add_argument("--n", type=int, help="use the lacunary extremal f_n")
-    p.add_argument("--max-atoms", type=int, default=8, dest="max_atoms")
-    p.add_argument("--theta-samples", type=int, default=720, dest="theta_samples")
+    p = _subcommand(sub, "convolution-check", _cmd_convolution_check,
+                    "convolution nonvanishing margin", ["order", "csv"])
+    _member_options(p)
+    p.add_argument("--theta-samples", type=int, default=functionals.THETA_SAMPLES,
+                   dest="theta_samples")
     p.add_argument("--z-radii", type=int, default=24, dest="z_radii")
     p.add_argument("--z-angles", type=int, default=96, dest="z_angles")
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_convolution_check)
 
-    p = sub.add_parser("search", help="seeded random-search validation summary")
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser("report", help="consolidated discrepancy report")
-    _add_common(p, top_level=False)
-    p.set_defaults(handler=_cmd_report)
-
+    _subcommand(sub, "search", _cmd_search, "seeded random-search validation summary",
+                ["samples", "seed", "order"])
+    _subcommand(sub, "report", _cmd_report, "consolidated discrepancy report",
+                ["samples", "seed", "csv"])
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if not 0 <= args.order <= MAX_ORDER:
+    order, samples, tolerance = (getattr(args, flag, None)
+                                 for flag in ("order", "samples", "tolerance"))
+    if order is not None and not 0 <= order <= MAX_ORDER:
         ap.error(f"--order must lie in [0, {MAX_ORDER}]")
-    if args.samples is not None and args.samples < 1:
+    if samples is not None and samples < 1:
         ap.error("--samples must be at least 1")
-    if not args.tolerance >= 0:  # also rejects NaN
+    if tolerance is not None and not tolerance >= 0:  # also rejects NaN
         ap.error("--tolerance must be a non-negative number")
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        # MemoryError: a grid or sample count too large to allocate.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

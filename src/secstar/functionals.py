@@ -56,7 +56,13 @@ SHARP_BOUNDS = {
 }
 
 _FLAG_TOL = 1e-9
-DEFAULT_FS_MUS = (0.0, 0.25, 0.5, 1.0, 1.25, 2.0)
+#: The mu values of the Fekete-Szego functional |a3 - mu a2^2|.
+FS_MUS = (0.0, 0.25, 0.5, 1.0, 1.25, 2.0)
+#: Default theta grid of convolution_margin, and the fixed one of
+#: sufficient_coefficient_check.
+THETA_SAMPLES = 720
+#: Outer radius of the z grid of convolution_margin.
+MAX_RADIUS = 0.99
 
 
 @dataclass(frozen=True)
@@ -146,8 +152,7 @@ def _sum_margin_rows(coeffs: np.ndarray) -> np.ndarray:
     return (4.0 - K1) - ((n * n * K1 - 4.0) * modulus(coeffs[:, 2:]) ** 2).sum(axis=1)
 
 
-def functional_columns(coeffs: np.ndarray,
-                       fs_mus: tuple[float, ...] = DEFAULT_FS_MUS) -> FunctionalColumns:
+def functional_columns(coeffs: np.ndarray) -> FunctionalColumns:
     """All coefficient functionals of a (B, N+1) batch of members, with flags."""
     if coeffs.shape[1] < 6:
         raise ValueError("need coefficients through a5 (order >= 5)")
@@ -169,20 +174,18 @@ def functional_columns(coeffs: np.ndarray,
     }
     return FunctionalColumns(a2=a2, a3=a3, a4=a4, a5=a5, h22=h22, h31=h31,
                              t21=t21, t31=t31,
-                             fs={mu: modulus(a3 - mu * a2 * a2) for mu in fs_mus},
+                             fs={mu: modulus(a3 - mu * a2 * a2) for mu in FS_MUS},
                              coeff_sum_margin=_sum_margin_rows(coeffs),
                              flags=flags)
 
 
-def compute_report(member: ClassMember,
-                   fs_mus: tuple[float, ...] = DEFAULT_FS_MUS,
-                   convolution: bool = False) -> FunctionalReport:
+def compute_report(member: ClassMember, convolution: bool = False) -> FunctionalReport:
     """All coefficient functionals of one member, with pass/fail flags.
 
     ``convolution`` switches on the (grid-based, comparatively expensive)
     convolution margin; when off the field is None.
     """
-    cols = functional_columns(member.coeffs.coeffs[None, :], fs_mus)
+    cols = functional_columns(member.coeffs.coeffs[None, :])
     return cols.report(0, convolution_margin(member) if convolution else None)
 
 
@@ -222,9 +225,8 @@ def _convolution_values(member: ClassMember, thetas: np.ndarray,
     return np.abs(out)
 
 
-def convolution_margin(member: ClassMember, theta_samples: int = 720,
-                       z_radii: int = 24, z_angles: int = 96,
-                       max_radius: float = 0.99) -> float:
+def convolution_margin(member: ClassMember, theta_samples: int = THETA_SAMPLES,
+                       z_radii: int = 24, z_angles: int = 96) -> float:
     """Infimum of the convolution nonvanishing expression over a theta x z grid.
 
     A positive margin is consistent with class membership; a near-zero or
@@ -236,7 +238,7 @@ def convolution_margin(member: ClassMember, theta_samples: int = 720,
     if z_radii < 2 or z_angles < 2:
         raise ValueError("need at least 2 z radii and 2 z angles")
     thetas = np.linspace(-math.pi, math.pi, theta_samples, endpoint=False)
-    radii = np.linspace(max_radius / z_radii, max_radius, z_radii)
+    radii = np.linspace(MAX_RADIUS / z_radii, MAX_RADIUS, z_radii)
     angles = np.linspace(-math.pi, math.pi, z_angles, endpoint=False)
     zs = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     vals = _convolution_values(member, thetas, zs)
@@ -247,24 +249,23 @@ def convolution_margin(member: ClassMember, theta_samples: int = 720,
     dt = 2.0 * math.pi / theta_samples
     t_ref = np.linspace(thetas[i] - dt, thetas[i] + dt, 17)
     z0 = zs[j]
-    dr = max_radius / z_radii
+    dr = MAX_RADIUS / z_radii
     da = 2.0 * math.pi / z_angles
-    rr = np.linspace(max(abs(z0) - dr, 1e-6), min(abs(z0) + dr, max_radius), 9)
+    rr = np.linspace(max(abs(z0) - dr, 1e-6), min(abs(z0) + dr, MAX_RADIUS), 9)
     aa = np.angle(z0) + np.linspace(-da, da, 17)
     z_ref = (rr[:, None] * np.exp(1j * aa)[None, :]).ravel()
     best_ref = float(_convolution_values(member, t_ref, z_ref).min())
     return min(best, best_ref)
 
 
-def sufficient_coefficient_check(member: ClassMember,
-                                 theta_samples: int = 720) -> tuple[bool, float]:
+def sufficient_coefficient_check(member: ClassMember) -> tuple[bool, float]:
     """Coefficient-sum sufficient condition; returns (satisfied, worst value).
 
     The condition demands sum_n |n - phi(e^{i theta})| |a_n| + M < 1 with
     M = 4 cos 1 / (1 + cos 2) ~ 3.7, so it is unsatisfiable for every member;
     the worst (largest) grid value is reported alongside.
     """
-    thetas = np.linspace(-math.pi, math.pi, theta_samples, endpoint=False)
+    thetas = np.linspace(-math.pi, math.pi, THETA_SAMPLES, endpoint=False)
     phi_t = _phi_values(np.exp(1j * thetas))
     a = member.coeffs.coeffs
     n = np.arange(2, member.order + 1)

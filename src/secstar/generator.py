@@ -156,8 +156,8 @@ class ImageRegion:
     number of the boundary polyline about the query point.  The domain *is*
     starlike about w = 1 (verified at construction), which enables a radial
     screen: queries comfortably inside or outside the radial envelope about 1
-    skip the winding computation.  Points near the polyline are classified
-    as boundary.
+    skip the winding computation.  ``contains_batch`` can count points near
+    the polyline as inside.
     """
 
     def __init__(self, samples: int = 4096):
@@ -191,16 +191,6 @@ class ImageRegion:
         e = np.concatenate([b[1:], b[:1]]) - b
         t = np.clip(((np.conj(e) * (w - b)).real) / np.abs(e) ** 2, 0.0, 1.0)
         return float(np.abs(b + t * e - w).min())
-
-    def classify(self, w: complex, boundary_tol: float = 1e-6) -> str:
-        """'interior', 'exterior', or 'boundary' (within boundary_tol)."""
-        if self.distance_to_boundary(w) <= boundary_tol:
-            return "boundary"
-        return "interior" if self.winding_number(w) == 1 else "exterior"
-
-    def contains(self, w: complex) -> bool:
-        """True iff the winding number about w is 1."""
-        return self.winding_number(w) == 1
 
     # -- batched screen + fallback --------------------------------------
 
@@ -250,7 +240,12 @@ def _g_integrand(t: complex) -> complex:
     return (1.0 + t - cmath.cos(t)) / (t * cmath.cos(t))
 
 
-def g_eval(z: complex, tol: float = 1e-10, max_depth: int = 40) -> complex:
+#: Adaptive Simpson for g: absolute error target and recursion depth limit.
+G_TOL = 1e-10
+G_MAX_DEPTH = 40
+
+
+def g_eval(z: complex) -> complex:
     """Adaptive-Simpson quadrature of the primitive along the segment [0, z].
 
     The integrand is analytic on the closed unit disk once the removable
@@ -278,14 +273,14 @@ def g_eval(z: complex, tol: float = 1e-10, max_depth: int = 40) -> complex:
         err = left + right - whole
         if abs(err) <= 15.0 * eps:
             return left + right + err / 15.0
-        if depth >= max_depth:
+        if depth >= G_MAX_DEPTH:
             raise RuntimeError("adaptive Simpson failed to converge (bug)")
         return (rec(a, m, fa, flm, fm, left, 0.5 * eps, depth + 1)
                 + rec(m, b, fm, frm, fb, right, 0.5 * eps, depth + 1))
 
     fa, fb = f(0.0), f(1.0)
     fm = f(0.5)
-    return rec(0.0, 1.0, fa, fm, fb, simpson(fa, fm, fb, 1.0), tol, 0)
+    return rec(0.0, 1.0, fa, fm, fb, simpson(fa, fm, fb, 1.0), G_TOL, 0)
 
 
 def g_series(order: int) -> PowerSeries:

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 TWO_SEC_ONE = 2.0 / math.cos(1.0)
+#: Cells of the sign-change scan that brackets each root in [0, 1].
+SCAN_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,9 @@ class RootResult:
     iterations: int
 
 
-def _bisect_newton(fn: Callable[[float], float], scan_cells: int = 2048) -> RootResult:
+def _bisect_newton(fn: Callable[[float], float]) -> RootResult:
     """Smallest root of fn in [0, 1]: scan for a sign change, bisect, polish."""
-    xs = np.linspace(0.0, 1.0, scan_cells + 1)
+    xs = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
     vals = np.array([fn(x) for x in xs])
     if abs(vals[0]) < 1e-15:
         return RootResult(r=0.0, residual=abs(float(vals[0])), bracket=(0.0, 0.0),

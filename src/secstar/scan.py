@@ -15,20 +15,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden section stops once its bracket is TOL wide, or after MAX_ITER steps.
+TOL = 1e-12
+MAX_ITER = 200
 
 __all__ = ["golden_max", "golden_min", "refine_max", "refine_min", "local_minima",
            "top_k", "NelderMeadResult", "nelder_mead"]
 
 
-def golden_max(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-12, max_iter: int = 200) -> tuple[float, float]:
+def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi]; returns (x, f(x))."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(MAX_ITER):
+        if b - a <= TOL:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -43,37 +45,34 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
     return d, fd
 
 
-def golden_min(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-12, max_iter: int = 200) -> tuple[float, float]:
-    x, v = golden_max(lambda t: -f(t), lo, hi, tol=tol, max_iter=max_iter)
+def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    x, v = golden_max(lambda t: -f(t), lo, hi)
     return x, -v
 
 
 def refine_max(f: Callable[[float], float], xs: Sequence[float],
-               values: Sequence[float] | None = None,
-               tol: float = 1e-12) -> tuple[float, float]:
+               values: Sequence[float] | None = None) -> tuple[float, float]:
     """Refine the best grid sample by golden section on its bracketing cell."""
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray([f(x) for x in xs]) if values is None else np.asarray(values)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
-    x, v = golden_max(f, lo, hi, tol=tol)
+    x, v = golden_max(f, lo, hi)
     if vals[i] > v:
         return float(xs[i]), float(vals[i])
     return x, v
 
 
 def refine_min(f: Callable[[float], float], xs: Sequence[float],
-               values: Sequence[float] | None = None,
-               tol: float = 1e-12) -> tuple[float, float]:
+               values: Sequence[float] | None = None) -> tuple[float, float]:
     x, v = refine_max(lambda t: -f(t), xs,
-                      None if values is None else -np.asarray(values), tol=tol)
+                      None if values is None else -np.asarray(values))
     return x, -v
 
 
-def local_minima(f: Callable[[float], float], xs: Sequence[float],
-                 tol: float = 1e-12) -> list[tuple[float, float]]:
+def local_minima(f: Callable[[float], float],
+                 xs: Sequence[float]) -> list[tuple[float, float]]:
     """All interior local minima of f sampled on the grid, refined."""
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray([f(x) for x in xs])
@@ -81,7 +80,7 @@ def local_minima(f: Callable[[float], float], xs: Sequence[float],
     for i in range(1, xs.size - 1):
         # <= on the right so a dip straddled by two equal samples still counts.
         if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
-            x, v = golden_min(f, xs[i - 1], xs[i + 1], tol=tol)
+            x, v = golden_min(f, xs[i - 1], xs[i + 1])
             out.append((x, v))
     return out
 

@@ -6,8 +6,7 @@ two series require *equal* orders; there is no silent padding or
 broadcasting, because mismatched truncation orders are the classic silent
 failure mode in series code.  Operations that genuinely change the degree
 (``integral`` raises it by one, ``derivative`` lowers it by one, shifts)
-do so explicitly, and :meth:`PowerSeries.pad` / :meth:`PowerSeries.truncate`
-exist for the caller who wants to line orders up again.
+do so explicitly, and :meth:`PowerSeries.truncate` lines orders up again.
 
 Coefficients are stored as an immutable ``numpy`` array of ``complex128``.
 Exactness claims elsewhere in the package mean "double precision", not
@@ -171,13 +170,6 @@ class PowerSeries:
         if not 0 <= order <= self.order:
             raise ValueError("truncate target outside [0, order]")
         return PowerSeries(self._c[: order + 1])
-
-    def pad(self, order: int) -> "PowerSeries":
-        if order < self.order:
-            raise ValueError("pad target below current order")
-        out = np.zeros(order + 1, dtype=np.complex128)
-        out[: self._c.size] = self._c
-        return PowerSeries(out)
 
     def shift_up(self) -> "PowerSeries":
         """Multiply by z: order rises by one."""

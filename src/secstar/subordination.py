@@ -3,10 +3,10 @@
 The first-order implication "1 + c z p'(z) subordinate to the generator
 forces p subordinate to a target" yields lower bounds for c built from the
 primitive g: its values at -1 and 1 (here gamma1, gamma2) and Im g(i).
-Everything is computed from quadrature; the reported reference values are
-tabulated next to the computed ones with their absolute differences, since
-several of the published decimals turn out to be low-order partial sums of
-the series of g rather than values of the integral.
+Everything is computed from quadrature.  The discrepancy report sets the
+computed values beside the published decimals, several of which turn out
+to be low-order partial sums of the series of g rather than values of the
+integral.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import g_eval, g_series
+from .generator import g_eval
 from .published import PUBLISHED
 from .scan import golden_min, local_minima, refine_max, refine_min
 
@@ -31,20 +31,17 @@ __all__ = [
     "misc_constants",
 ]
 
+#: Grid sizes of the circle scans behind parabola_b0 and misc_constants.
+PARABOLA_SAMPLES = 8192
+MISC_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """A computed constant next to its published reference value, if any."""
+    """A computed constant; ``published.PUBLISHED[name]`` holds its decimal."""
 
     name: str
     computed: float
-    paper_value: float | None = None
-
-    @property
-    def abs_diff(self) -> float | None:
-        if self.paper_value is None:
-            return None
-        return abs(self.computed - self.paper_value)
 
 
 def gudermannian(x: float) -> float:
@@ -53,7 +50,7 @@ def gudermannian(x: float) -> float:
 
 
 def gamma_constants() -> dict[str, ThresholdReport]:
-    """gamma1 = g(-1), gamma2 = g(1), Im g(i), against the published decimals.
+    """gamma1 = g(-1), gamma2 = g(1) and Im g(i).
 
     Im g(i) has the closed form gd(1): along the segment [0, i] the
     integrand's imaginary part reduces to sech s.
@@ -61,7 +58,7 @@ def gamma_constants() -> dict[str, ThresholdReport]:
     g1 = g_eval(1.0).real
     gm1 = g_eval(-1.0).real
     im_gi = g_eval(1j).imag
-    return {name: ThresholdReport(name, value, PUBLISHED[name][0])
+    return {name: ThresholdReport(name, value)
             for name, value in (("gamma1", gm1), ("gamma2", g1), ("im_g_i", im_gi))}
 
 
@@ -147,11 +144,9 @@ class ParabolaResult:
     global_min_value: float
 
 
-def parabola_b0(samples: int = 8192) -> ParabolaResult:
-    if samples < 4096:
-        raise ValueError("need at least 4096 samples")
+def parabola_b0() -> ParabolaResult:
     # Open grid: v has poles at theta = +-pi.
-    thetas = np.linspace(-math.pi, math.pi, samples + 2)[1:-1]
+    thetas = np.linspace(-math.pi, math.pi, PARABOLA_SAMPLES + 2)[1:-1]
     minima = local_minima(_parabola_objective, thetas)
     if not minima:
         raise RuntimeError("no interior local minima found (bug)")
@@ -183,7 +178,7 @@ def _log_derivative_re(theta: float) -> float:
         math.cos(2.0 * x) + math.cosh(2.0 * y))
 
 
-def misc_constants(samples: int = 4096) -> dict[str, float]:
+def misc_constants() -> dict[str, float]:
     """Assorted circle extrema used by the sufficiency and inclusion proofs.
 
     ``logderiv_min`` is the true circle minimum of Re(z phi'/phi); the
@@ -191,7 +186,7 @@ def misc_constants(samples: int = 4096) -> dict[str, float]:
     (the minimum is 1/2 - tanh 1 at theta = pi/2).  Both numbers are
     returned so reports can tabulate them side by side.
     """
-    thetas = np.linspace(-math.pi, math.pi, samples, endpoint=False)
+    thetas = np.linspace(-math.pi, math.pi, MISC_SAMPLES, endpoint=False)
 
     def abs_cos(t: float) -> float:
         return abs(complex(math.cos(math.cos(t)) * math.cosh(math.sin(t)),
@@ -211,13 +206,4 @@ def misc_constants(samples: int = 4096) -> dict[str, float]:
         "circle_sin_max": sin_max,
         "logderiv_min": logderiv_min,
         "logderiv_claimed": PUBLISHED["logderiv_circle_min"][0],
-    }
-
-
-def gamma_series_check(order: int = 40) -> dict[str, float]:
-    """gamma constants recomputed through the series of g at +-1."""
-    s = g_series(order)
-    return {
-        "gamma1_series": s.evaluate(-1.0).real,
-        "gamma2_series": s.evaluate(1.0).real,
     }

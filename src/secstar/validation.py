@@ -28,19 +28,21 @@ __all__ = ["SearchConfig", "SearchSummary", "designated_measures", "run_search"]
 
 DEFAULT_SEED = 0xC0FFEE
 
+# The containment screen: w = z f'/f at CONTAINMENT_POINTS points of the
+# circle |z| = CONTAINMENT_RADIUS, tested against a boundary polyline of
+# REGION_SAMPLES points with BOUNDARY_TOL slack.
+CONTAINMENT_RADIUS = 0.95
+CONTAINMENT_POINTS = 64
+BOUNDARY_TOL = 1e-4
+REGION_SAMPLES = 16384
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     count: int = 10_000
     seed: int = DEFAULT_SEED
     order: int = 16
-    max_atoms: int = 8
-    include_designated: bool = True
     check_containment: bool = True
-    containment_radius: float = 0.95
-    containment_points: int = 64
-    boundary_tol: float = 1e-4
-    region_samples: int = 16384
 
 
 @dataclass
@@ -93,20 +95,17 @@ def designated_measures() -> list[HerglotzMeasure]:
 
 def run_search(config: SearchConfig = SearchConfig()) -> SearchSummary:
     summary = SearchSummary(config=config)
-    measures: list[HerglotzMeasure] = []
-    if config.include_designated:
-        measures.extend(designated_measures())
-    measures.extend(sample_measure(config.seed + i, config.max_atoms)
-                    for i in range(config.count))
+    measures = designated_measures()
+    measures.extend(sample_measure(config.seed + i) for i in range(config.count))
 
-    region = ImageRegion(config.region_samples) if config.check_containment else None
+    region = ImageRegion(REGION_SAMPLES) if config.check_containment else None
     for start in range(0, len(measures), BLOCK):
         weights, atoms = pack_measures(measures[start:start + BLOCK])
         summary.record(functional_columns(member_rows(weights, atoms, config.order)))
         if region is not None:
-            w = log_derivative_rows(weights, atoms, config.containment_radius,
-                                    config.containment_points)
-            inside = region.contains_batch(w, boundary_tol=config.boundary_tol)
+            w = log_derivative_rows(weights, atoms, CONTAINMENT_RADIUS,
+                                    CONTAINMENT_POINTS)
+            inside = region.contains_batch(w, boundary_tol=BOUNDARY_TOL)
             summary.containment_failures += int(
                 (~inside.reshape(w.shape).all(axis=1)).sum())
     return summary

@@ -20,13 +20,14 @@ from secstar.caratheodory import (HerglotzMeasure, log_derivative_on_circle,
                                   log_derivative_rows, member_from_measure,
                                   member_rows, members_from_measures,
                                   pack_measures, sample_measure)
-from secstar.functionals import (DEFAULT_FS_MUS, SHARP_BOUNDS, compute_report,
+from secstar.functionals import (FS_MUS, SHARP_BOUNDS, compute_report,
                                  functional_columns)
 from secstar.generator import ImageRegion, phi_series
 from secstar.series import (PowerSeries, compose_rows, div_rows, exp_rows,
                             lift_rows)
-from secstar.validation import (BLOCK, SearchConfig, designated_measures,
-                                run_search)
+from secstar.validation import (BLOCK, BOUNDARY_TOL, CONTAINMENT_POINTS,
+                                CONTAINMENT_RADIUS, REGION_SAMPLES, SearchConfig,
+                                designated_measures, run_search)
 
 TOL = 1e-14
 ORDERS = (5, 16, 32)
@@ -141,15 +142,14 @@ def oracle_functionals(c):
     n = np.arange(2, c.size)
     margin = float((4.0 - k1) - np.sum((n * n * k1 - 4.0) * np.abs(c[2:]) ** 2))
     return dict(a2=a2, a3=a3, a4=a4, a5=a5, h22=h22, h31=h31, t21=t21, t31=t31,
-                fs={mu: abs(a3 - mu * a2 * a2) for mu in DEFAULT_FS_MUS},
+                fs={mu: abs(a3 - mu * a2 * a2) for mu in FS_MUS},
                 coeff_sum_margin=margin, flags=flags)
 
 
 def oracle_search(config):
-    measures = designated_measures() if config.include_designated else []
-    measures += [sample_measure(config.seed + i, config.max_atoms)
-                 for i in range(config.count)]
-    region = ImageRegion(config.region_samples) if config.check_containment else None
+    measures = designated_measures()
+    measures += [sample_measure(config.seed + i) for i in range(config.count)]
+    region = ImageRegion(REGION_SAMPLES) if config.check_containment else None
     out = dict(samples=0, max_abs_a2=0.0, max_abs_a3=0.0, max_abs_a4=0.0,
                max_abs_a5=0.0, max_abs_h22=0.0, max_abs_h31=0.0,
                t21_min=math.inf, t21_max=-math.inf, t31_min=math.inf,
@@ -166,9 +166,8 @@ def oracle_search(config):
             if not ok:
                 out["flag_failures"][name] = out["flag_failures"].get(name, 0) + 1
         if region is not None:
-            w = oracle_log_derivative(m, config.containment_radius,
-                                      config.containment_points)
-            if not region.contains_batch(w, boundary_tol=config.boundary_tol).all():
+            w = oracle_log_derivative(m, CONTAINMENT_RADIUS, CONTAINMENT_POINTS)
+            if not region.contains_batch(w, boundary_tol=BOUNDARY_TOL).all():
                 out["containment_failures"] += 1
     return out
 
@@ -270,7 +269,7 @@ def test_batched_functionals_match_serial_oracle(measures, order):
         for name in ("a2", "a3", "a4", "a5", "h22", "h31", "t21", "t31",
                      "coeff_sum_margin"):
             assert abs(getattr(rep, name) - want[name]) <= TOL * 10
-        assert all(abs(rep.fs[mu] - want["fs"][mu]) <= TOL for mu in DEFAULT_FS_MUS)
+        assert all(abs(rep.fs[mu] - want["fs"][mu]) <= TOL for mu in FS_MUS)
         assert rep.flags == want["flags"]
 
 

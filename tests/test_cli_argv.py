@@ -1,9 +1,13 @@
 """Edge sweep over argv for the fast subcommands.
 
-Every invocation must end in exit 0, 2 or 3 without an uncaught exception,
-a NaN or negative ``--tolerance`` must be a usage error (exit 2), and a
+Each subcommand is drawn with its own flags after it.  Every invocation must
+end in exit 0, 2 or 3 without an uncaught exception; a NaN or negative
+``--tolerance``, two of ``phi --z/--bounds/--circle``, ``phi --samples``
+without ``--bounds`` or ``--circle``, and ``--n`` with ``--seed`` or
+``--max-atoms`` must be usage errors (exit 2); and a
 successful JSON run must print canonical JSON: parsing the output and
-re-serializing it gives the same bytes.
+re-serializing it gives the same bytes.  A second sweep adds a shared flag
+the subcommand does not take, which must exit 2 with nothing on stdout.
 
 The examples are derandomized, so each value strategy draws its known edge
 values (order 1, huge imaginary parts, negative zero, NaN, -1) about half
@@ -61,35 +65,67 @@ def flags(*options):
     return st.tuples(*options).map(lambda parts: [t for part in parts for t in part])
 
 
-COMMON = flags(opt("--order", with_edges(["0", "1"], ints(-2, 70))),
-               opt("--seed", st.one_of(ints(-2, 2**40), st.just("0x3"))),
-               opt("--samples", ints(-3, 5000)), opt("--csv"),
-               opt("--tolerance", floats()))
+# The shared flags, and which of them each subcommand takes.
+SHARED = {
+    "--order": with_edges(["0", "1"], ints(-2, 70)),
+    "--seed": st.one_of(ints(-2, 2**40), st.just("0x3")),
+    "--samples": ints(-3, 5000),
+    "--csv": None,
+    "--tolerance": floats(),
+}
+TAKES = {
+    "coeffs": ["--order", "--csv"],
+    "phi": ["--samples", "--csv"],
+    "extremal": ["--order", "--csv"],
+    "functionals": ["--order", "--seed", "--csv"],
+    "radius": ["--tolerance", "--csv"],
+    "constants": ["--samples", "--csv"],
+    "sample": ["--order", "--seed", "--csv"],
+    "optimize": ["--csv"],
+    "convolution-check": ["--order", "--seed", "--csv"],
+}
+
+
+def command(head, *options):
+    """``head``, then its own options and the shared flags it takes, in order."""
+    shared = [opt(flag, SHARED[flag]) for flag in TAKES[head[0]]]
+    return flags(st.just(head), *options, *shared)
+
 
 SUBCOMMANDS = st.one_of(
-    flags(st.just(["coeffs"]),
-          opt("--function", st.sampled_from(["phi", "g", "sec", "cos", "sin", "exp",
-                                             "geometric", "identity", "tan"]))),
-    flags(st.just(["phi"]), opt("--z", complexes()), opt("--bounds"),
-          opt("--circle", floats())),
-    flags(st.just(["extremal"]), opt("--n", ints(-2, 70))),
-    flags(st.just(["functionals"]), opt("--n", ints(-2, 70)),
-          opt("--max-atoms", ints(-1, 10))),
-    flags(st.just(["radius"]),
-          st.tuples(st.sampled_from(["starlike_order", "mu_beta", "convexity",
-                                     "m_starlike", "bogus"]), floats()).map(list)),
-    st.just(["constants"]),
-    flags(st.just(["sample"]), opt("--count", ints(-2, 3)),
-          opt("--max-atoms", ints(-1, 10))),
+    command(["coeffs"],
+            opt("--function", st.sampled_from(["phi", "g", "sec", "cos", "sin", "exp",
+                                               "geometric", "identity", "tan"]))),
+    command(["phi"], opt("--z", complexes()), opt("--bounds"), opt("--circle", floats())),
+    command(["extremal"], opt("--n", ints(-2, 70))),
+    command(["functionals"], opt("--n", ints(-2, 70)), opt("--max-atoms", ints(-1, 10))),
+    command(["radius"],
+            st.tuples(st.sampled_from(["starlike_order", "mu_beta", "convexity",
+                                       "m_starlike", "bogus"]), floats()).map(list)),
+    command(["constants"]),
+    command(["sample"], opt("--count", ints(-2, 3)), opt("--max-atoms", ints(-1, 10))),
     # The grid needs 51 nodes per axis and the convolution margin 360 thetas:
     # draw on both sides of each limit.
-    flags(st.just(["optimize", "--objective", "k6"]),
-          opt("--grid", st.one_of(ints(-2, 2), ints(49, 70)))),
-    flags(st.just(["convolution-check"]), opt("--n", ints(-2, 70)),
-          opt("--max-atoms", ints(-1, 10)),
-          given_flag("--theta-samples", st.one_of(ints(-2, 2), ints(358, 420))),
-          given_flag("--z-radii", ints(-1, 6)), given_flag("--z-angles", ints(-1, 8))),
+    command(["optimize", "--objective", "k6"],
+            opt("--grid", st.one_of(ints(-2, 2), ints(49, 70)))),
+    command(["convolution-check"], opt("--n", ints(-2, 70)),
+            opt("--max-atoms", ints(-1, 10)),
+            given_flag("--theta-samples", st.one_of(ints(-2, 2), ints(358, 420))),
+            given_flag("--z-radii", ints(-1, 6)), given_flag("--z-angles", ints(-1, 8))),
 )
+
+
+@st.composite
+def with_foreign_flag(draw):
+    """A drawn command line with one shared flag its subcommand does not take,
+    put anywhere after the subcommand's fixed head."""
+    argv = draw(SUBCOMMANDS)
+    name = argv[0]
+    flag = draw(st.sampled_from([f for f in SHARED if f not in TAKES[name]]))
+    foreign = draw(given_flag(flag, SHARED[flag]))
+    head = 3 if name == "optimize" else 1
+    at = draw(st.integers(head, len(argv)))
+    return argv[:at] + foreign + argv[at:]
 
 
 def tolerance_of(argv):
@@ -111,17 +147,34 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def has(argv, flag):
+    return any(a == flag or a.startswith(flag + "=") for a in argv)
+
+
 @settings(max_examples=150)
-@given(before=COMMON, command=SUBCOMMANDS, after=COMMON)
-def test_cli_argv_edges(before, command, after):
-    argv = before + command + after
+@given(argv=SUBCOMMANDS)
+def test_cli_argv_edges(argv):
     code, out, err = run(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     tolerance = tolerance_of(argv)
     if tolerance is not None and (math.isnan(tolerance) or tolerance < 0):
         assert code == 2, (argv, code, err)
+    modes = sum(has(argv, f) for f in ("--bounds", "--circle"))
+    if modes + has(argv, "--z") > 1 or (has(argv, "--samples") and argv[0] == "phi"
+                                        and not modes):
+        assert code == 2, (argv, code, err)
+    if has(argv, "--n") and (has(argv, "--seed") or has(argv, "--max-atoms")):
+        assert code == 2, (argv, code, err)
     if code == 0:
         assert out
         if "--csv" not in argv:
             assert canonical_json(json.loads(out)) == out
+
+
+@settings(max_examples=100)
+@given(argv=with_foreign_flag())
+def test_cli_rejects_flags_the_subcommand_does_not_take(argv):
+    code, out, err = run(argv)
+    assert code == 2, (argv, code, err)
+    assert out == ""

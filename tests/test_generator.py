@@ -112,21 +112,22 @@ def test_gamma0_refined_value():
 
 
 def test_region_membership(image_region):
-    assert image_region.contains(1.0)
-    assert not image_region.contains(4.0)
-    assert image_region.contains(0.01)
+    assert image_region.winding_number(1.0) == 1
+    assert image_region.winding_number(4.0) != 1
+    assert image_region.winding_number(0.01) == 1
 
 
 def test_region_contains_function():
-    assert ImageRegion(2048).contains(1.0)
-    assert not ImageRegion(2048).contains(4.0)
+    assert ImageRegion(2048).winding_number(1.0) == 1
+    assert ImageRegion(2048).winding_number(4.0) != 1
 
 
 def test_region_boundary_classification(image_region):
     w = phi_eval(cmath.exp(0.7j))
-    assert image_region.classify(w, boundary_tol=1e-6) == "boundary"
-    assert image_region.classify(1.0) == "interior"
-    assert image_region.classify(4.0) == "exterior"
+    assert image_region.distance_to_boundary(w) <= 1e-6
+    for inside, w in ((True, 1.0), (False, 4.0)):
+        assert image_region.distance_to_boundary(w) > 1e-6
+        assert (image_region.winding_number(w) == 1) == inside
 
 
 def test_region_screen_agrees_with_winding(image_region):

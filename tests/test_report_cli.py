@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -184,9 +185,79 @@ def test_cli_domain_errors_exit_two(capsys):
 
 
 def test_cli_order_cap(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--order", "100", "extremal", "--n", "2"])
-    assert exc.value.code == 2
+    for argv in (["--order", "100", "extremal", "--n", "2"],
+                 ["extremal", "--n", "2", "--order", "100"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --order must lie in [0, 64]\n")
+
+
+# Every option each subcommand accepts; the shared ones are --order, --seed,
+# --samples, --csv and --tolerance, each only where its handler reads it.
+SUBCOMMAND_OPTIONS = {
+    "coeffs": {"--function", "--order", "--csv"},
+    "phi": {"--z", "--bounds", "--circle", "--samples", "--csv"},
+    "extremal": {"--n", "--order", "--csv"},
+    "sample": {"--count", "--max-atoms", "--order", "--seed", "--csv"},
+    "functionals": {"--n", "--seed", "--max-atoms", "--convolution", "--order", "--csv"},
+    "optimize": {"--objective", "--grid", "--csv"},
+    "radius": {"--tolerance", "--csv"},
+    "constants": {"--samples", "--csv"},
+    "convolution-check": {"--n", "--seed", "--max-atoms", "--theta-samples",
+                          "--z-radii", "--z-angles", "--order", "--csv"},
+    "search": {"--samples", "--seed", "--order"},
+    "report": {"--samples", "--seed", "--csv"},
+}
+
+
+def _option_strings(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_cli_each_subcommand_takes_its_own_options():
+    ap = cli.build_parser()
+    assert _option_strings(ap) == set()  # no flag before the subcommand
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: _option_strings(p) for name, p in sub.choices.items()} == \
+        SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--objective", "k6", "--order", "3"],
+    ["report", "--tolerance", "1e-3"],
+    ["phi", "--z", "0.5", "--circle", "1"],
+    ["phi", "--z", "0.5", "--samples", "9"],
+    ["phi", "--samples", "9"],
+    ["functionals", "--n", "2", "--seed", "5"],
+    ["functionals", "--n", "2", "--max-atoms", "3"],
+    ["convolution-check", "--n", "2", "--seed", "5"],
+    ["convolution-check", "--n", "2", "--max-atoms", "3"],
+    ["search", "--csv"],
+    ["--seed", "3", "sample"],
+])
+def test_cli_rejects_flags_nothing_reads(capsys, argv):
+    try:
+        code = cli.main(argv)  # a combination the handler rejects
+    except SystemExit as exc:  # a flag the parser does not take
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+# 10**15 elements (7 PiB of float64) exceed a 47-bit address space, so the
+# allocation fails at once whatever the machine's memory or overcommit.
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--objective", "k6", "--grid", str(10**15)],
+    ["phi", "--circle", "1", "--samples", str(10**15)],
+    ["constants", "--samples", str(10**15)],
+])
+def test_cli_allocation_failure_exits_two(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate")
 
 
 @pytest.mark.parametrize("argv,message", [
