@@ -30,6 +30,9 @@ EXIT_VERIFY = 3
 DEFAULT_ORDER = 16
 DEFAULT_SEED = 0xC0FFEE
 MAX_ORDER = 64
+#: Most members one command synthesises (sample --count, search and report
+#: --samples): 100 000 is about 10 s of search work.
+MAX_COUNT = 100_000
 
 
 def _emit(args, payload, csv_header=None, csv_rows=None) -> None:
@@ -42,6 +45,12 @@ def _emit(args, payload, csv_header=None, csv_rows=None) -> None:
 def _rational_guess(x: float) -> str:
     frac = Fraction(x).limit_denominator(10**6)
     return f"{frac.numerator}/{frac.denominator}"
+
+
+def _member_count(flag: str, count: int) -> int:
+    if count > MAX_COUNT:
+        raise ValueError(f"{flag} must be at most {MAX_COUNT}")
+    return count
 
 
 def _member_from_args(args) -> extremal.ClassMember:
@@ -120,6 +129,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be at least 1")
+    _member_count("--count", args.count)
     if args.order < 2:
         # The CSV rows carry a2.
         raise ValueError("sample needs --order of at least 2")
@@ -241,15 +251,16 @@ def _cmd_convolution_check(args) -> int:
 
 def _cmd_search(args) -> int:
     summary = validation.run_search(validation.SearchConfig(
-        count=args.samples or 10_000, seed=args.seed, order=args.order))
+        count=_member_count("--samples", args.samples or 10_000), seed=args.seed,
+        order=args.order))
     _emit(args, asdict(summary))
     failed = summary.enforced_failures() or summary.containment_failures
     return EXIT_VERIFY if failed else EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    rows = report_mod.discrepancy_report(search_count=args.samples or 2000,
-                                         seed=args.seed)
+    rows = report_mod.discrepancy_report(
+        search_count=_member_count("--samples", args.samples or 2000), seed=args.seed)
     _emit(args, [asdict(r) for r in rows],
           csv_header=["constant_name", "paper_value", "computed_value",
                       "abs_diff", "status", "tolerance", "expected_status"],

@@ -210,19 +210,26 @@ def an_bound(n: int) -> float:
 
 def _convolution_values(member: ClassMember, thetas: np.ndarray,
                         zs: np.ndarray) -> np.ndarray:
-    """|1 + sum_{n>=2} (n - phi(e^{i theta})) a_n z^{n-1} - phi(e^{i theta})|."""
+    """|1 + sum_{n>=2} (n - phi(e^{i theta})) a_n z^{n-1} - phi(e^{i theta})|.
+
+    The expression is linear in phi_t = phi(e^{i theta}): with a_1 = 1 it is
+    f'(z) - phi_t f(z)/z.  Both series are evaluated once on the z grid by
+    Horner's rule, and each theta row is one multiply, subtract and modulus.
+    """
     phi_t = _phi_values(np.exp(1j * thetas))           # (T,)
     a = member.coeffs.coeffs                            # a[0]=0, a[1]=1
-    order = member.order
-    zpow = zs[None, :] ** np.arange(1, order)[:, None] if order >= 2 else None
-    out = np.empty((thetas.size, zs.size), dtype=np.complex128)
-    for i, pt in enumerate(phi_t):
-        acc = np.full(zs.size, 1.0 - pt, dtype=np.complex128)
-        if order >= 2:
-            coef = (np.arange(2, order + 1) - pt) * a[2:]
-            acc = acc + coef @ zpow
-        out[i] = acc
-    return np.abs(out)
+    f_over_z = np.full(zs.shape, a[-1], dtype=np.complex128)
+    df = member.order * f_over_z
+    for n in range(member.order - 1, 0, -1):
+        f_over_z = f_over_z * zs + a[n]
+        df = df * zs + n * a[n]
+    out = np.empty((thetas.size, zs.size))
+    row = np.empty(zs.size, dtype=np.complex128)
+    for pt, dst in zip(phi_t, out):
+        np.multiply(pt, f_over_z, out=row)
+        np.subtract(df, row, out=row)
+        np.abs(row, out=dst)
+    return out
 
 
 def convolution_margin(member: ClassMember, theta_samples: int = THETA_SAMPLES,
@@ -269,8 +276,6 @@ def sufficient_coefficient_check(member: ClassMember) -> tuple[bool, float]:
     phi_t = _phi_values(np.exp(1j * thetas))
     a = member.coeffs.coeffs
     n = np.arange(2, member.order + 1)
-    worst = 0.0
-    for pt in phi_t:
-        val = float(np.dot(np.abs(n - pt), np.abs(a[2:]))) + PHI_RE_MAX
-        worst = max(worst, val)
+    sums = (np.abs(n - phi_t[:, None]) * np.abs(a[2:])).sum(axis=1)
+    worst = float(sums.max()) + PHI_RE_MAX
     return worst < 1.0, worst

@@ -5,8 +5,8 @@ expansion truncated at a fixed order ``N``.  All binary operations between
 two series require *equal* orders; there is no silent padding or
 broadcasting, because mismatched truncation orders are the classic silent
 failure mode in series code.  Operations that genuinely change the degree
-(``integral`` raises it by one, ``derivative`` lowers it by one, shifts)
-do so explicitly, and :meth:`PowerSeries.truncate` lines orders up again.
+(``integral`` raises it by one, ``derivative`` lowers it by one) do so
+explicitly, and :meth:`PowerSeries.truncate` lines orders up again.
 
 Coefficients are stored as an immutable ``numpy`` array of ``complex128``.
 Exactness claims elsewhere in the package mean "double precision", not
@@ -170,21 +170,6 @@ class PowerSeries:
         if not 0 <= order <= self.order:
             raise ValueError("truncate target outside [0, order]")
         return PowerSeries(self._c[: order + 1])
-
-    def shift_up(self) -> "PowerSeries":
-        """Multiply by z: order rises by one."""
-        out = np.empty(self._c.size + 1, dtype=np.complex128)
-        out[0] = 0.0
-        out[1:] = self._c
-        return PowerSeries(out)
-
-    def shift_down(self) -> "PowerSeries":
-        """Divide by z (constant term must be zero); order drops by one."""
-        if self._c[0] != 0:
-            raise ValueError("shift_down requires zero constant term")
-        if self.order == 0:
-            return PowerSeries([0.0])
-        return PowerSeries(self._c[1:])
 
     # -- evaluation ------------------------------------------------------
 

@@ -99,9 +99,12 @@ SUBCOMMANDS = st.one_of(
     command(["phi"], opt("--z", complexes()), opt("--bounds"), opt("--circle", floats())),
     command(["extremal"], opt("--n", ints(-2, 70))),
     command(["functionals"], opt("--n", ints(-2, 70)), opt("--max-atoms", ints(-1, 10))),
+    # A parameter in [0, 1) part of the time, so that draws reach a solve.
     command(["radius"],
             st.tuples(st.sampled_from(["starlike_order", "mu_beta", "convexity",
-                                       "m_starlike", "bogus"]), floats()).map(list)),
+                                       "m_starlike", "bogus"]),
+                      st.one_of(st.floats(0.0, 1.0, exclude_max=True).map(repr),
+                                floats())).map(list)),
     command(["constants"]),
     command(["sample"], opt("--count", ints(-2, 3)), opt("--max-atoms", ints(-1, 10))),
     # The grid needs 51 nodes per axis and the convolution margin 360 thetas:

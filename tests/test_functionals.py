@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from secstar.caratheodory import measure_equal_atoms, member_from_measure
+from secstar import functionals
+from secstar.caratheodory import (measure_equal_atoms, member_from_measure,
+                                  sample_measure)
 from secstar.extremal import ClassMember, build_extremal
-from secstar.functionals import (K1, an_bound, coefficient_sum_margin,
-                                 compute_report, convolution_margin, fs_bound,
+from secstar.functionals import (K1, PHI_RE_MAX, THETA_SAMPLES, an_bound,
+                                 coefficient_sum_margin, compute_report,
+                                 convolution_margin, fs_bound,
                                  sufficient_coefficient_check)
+from secstar.generator import _phi_values
 from secstar.series import PowerSeries
 
 
@@ -108,3 +112,97 @@ def test_t21_unit_iff_a2_zero():
     assert abs(rep.a2) < 1e-15 and abs(rep.t21 - 1.0) < 1e-15
     rep2 = compute_report(build_extremal(2, 8))
     assert rep2.t21 < 1.0
+
+
+# -- the per-theta oracles ----------------------------------------------------
+#
+# The convolution expression used to be summed term by term for each theta:
+# one (N-1)-vector of (n - phi_t) a_n and one matrix-vector product with the
+# powers z^{n-1}.  The library now evaluates it as f'(z) - phi_t f(z)/z.
+
+
+def per_theta_convolution_values(member, thetas, zs):
+    phi_t = _phi_values(np.exp(1j * thetas))
+    a = member.coeffs.coeffs
+    order = member.order
+    zpow = zs[None, :] ** np.arange(1, order)[:, None] if order >= 2 else None
+    out = np.empty((thetas.size, zs.size), dtype=np.complex128)
+    for i, pt in enumerate(phi_t):
+        acc = np.full(zs.size, 1.0 - pt, dtype=np.complex128)
+        if order >= 2:
+            coef = (np.arange(2, order + 1) - pt) * a[2:]
+            acc = acc + coef @ zpow
+        out[i] = acc
+    return np.abs(out)
+
+
+def per_theta_sufficient_check(member):
+    thetas = np.linspace(-math.pi, math.pi, THETA_SAMPLES, endpoint=False)
+    phi_t = _phi_values(np.exp(1j * thetas))
+    a = member.coeffs.coeffs
+    n = np.arange(2, member.order + 1)
+    worst = 0.0
+    for pt in phi_t:
+        val = float(np.dot(np.abs(n - pt), np.abs(a[2:]))) + PHI_RE_MAX
+        worst = max(worst, val)
+    return worst < 1.0, worst
+
+
+def term_scale(member, thetas, zs):
+    """sum_n n |a_n| |z|^{n-1} + |phi_t| sum_n |a_n| |z|^{n-1} on the grid:
+    the size of the terms whose sum is the convolution expression."""
+    absa = np.abs(member.coeffs.coeffs[1:])
+    n = np.arange(1, member.order + 1)
+    powers = np.abs(zs)[None, :] ** (n - 1)[:, None]
+    df = (n * absa) @ powers
+    f_over_z = absa @ powers
+    return df[None, :] + np.abs(_phi_values(np.exp(1j * thetas)))[:, None] * f_over_z
+
+
+ORACLE_MEMBERS = ([f"f{n}" for n in range(2, 9)]
+                  + [f"sampled-order{order}" for order in (5, 16, 32)])
+
+
+def oracle_member(name):
+    """f2..f8 at order 32, or the member of the measure seeded by its order."""
+    if name.startswith("f"):
+        return build_extremal(int(name[1:]), 32)
+    order = int(name.removeprefix("sampled-order"))
+    return member_from_measure(sample_measure(order), order)
+
+
+@pytest.mark.parametrize("grid", [(THETA_SAMPLES, 24, 96), (360, 8, 32)],
+                         ids=["default", "360x8x32"])
+@pytest.mark.parametrize("name", ORACLE_MEMBERS)
+def test_convolution_margin_matches_per_theta_oracle(name, grid, monkeypatch):
+    member = oracle_member(name)
+    factored = functionals._convolution_values
+    shapes = []
+
+    def checked(m, thetas, zs):
+        vals = factored(m, thetas, zs)
+        ref = per_theta_convolution_values(m, thetas, zs)
+        # Near the minimum the terms cancel to 1e-3 of their size or less, so
+        # both sums carry rounding error relative to the terms, not to the
+        # value: the bound is scaled by the terms.
+        assert np.all(np.abs(vals - ref) <= 1e-13 * term_scale(m, thetas, zs))
+        shapes.append(vals.shape)
+        return vals
+
+    monkeypatch.setattr(functionals, "_convolution_values", checked)
+    margin = convolution_margin(member, *grid)
+    # The coarse theta x z grid, then the 17 x (9 x 17) refinement.
+    assert shapes == [(grid[0], grid[1] * grid[2]), (17, 9 * 17)]
+    monkeypatch.setattr(functionals, "_convolution_values",
+                        per_theta_convolution_values)
+    assert abs(margin - convolution_margin(member, *grid)) <= 1e-15
+    assert margin > 0
+
+
+@pytest.mark.parametrize("name", ORACLE_MEMBERS)
+def test_sufficient_coefficient_check_matches_per_theta_oracle(name):
+    member = oracle_member(name)
+    ok, worst = sufficient_coefficient_check(member)
+    ref_ok, ref_worst = per_theta_sufficient_check(member)
+    assert ok is ref_ok is False
+    assert abs(worst - ref_worst) <= 1e-14

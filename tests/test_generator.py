@@ -13,6 +13,11 @@ from secstar.series import PowerSeries, elementary
 TWO_SEC_ONE = 2.0 / math.cos(1.0)
 
 
+def shift_up(s):
+    """z * s: the order rises by one."""
+    return PowerSeries(np.concatenate(([0.0], s.coeffs)))
+
+
 def test_phi_at_origin_is_one():
     assert phi_eval(0) == 1
 
@@ -56,12 +61,12 @@ def test_real_part_cap_identity():
 def test_log_derivative_series_identity():
     # z phi'/phi = z/(1+z) + z tan z at order 12.
     phi13 = phi_series(13)
-    lhs = phi13.derivative().shift_up() / phi13
+    lhs = shift_up(phi13.derivative()) / phi13
     lhs = lhs.truncate(12)
     one_plus_z = PowerSeries([1, 1] + [0] * 11)
     term1 = elementary("identity", 12) / one_plus_z
     tan = elementary("sin", 11) / elementary("cos", 11)
-    term2 = tan.shift_up()
+    term2 = shift_up(tan)
     assert np.abs(lhs.coeffs - (term1 + term2).coeffs).max() < 1e-12
 
 
@@ -183,7 +188,7 @@ def test_g_series_first_coefficients():
 def test_g_series_derivative_identity():
     # z g'(z) = phi(z) - 1 at order 12.
     g = g_series(12)
-    lhs = g.derivative().shift_up()
+    lhs = shift_up(g.derivative())
     rhs = phi_series(12) - 1.0
     assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-12
 

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from secstar import cli, extremal, generator, subordination
+from secstar import (caratheodory, cli, extremal, generator, subordination,
+                     validation)
 from secstar.published import PUBLISHED
 from secstar.series import PowerSeries
 from secstar.report import CONFLICT, MATCH, MISMATCH, report_ok
@@ -274,6 +275,29 @@ def test_cli_rejects_degenerate_counts(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# Member counts above cli.MAX_COUNT are refused before any measure is drawn.
+@pytest.mark.parametrize("argv,flag", [
+    (["sample", "--count", "100001"], "--count"),
+    (["sample", "--count", "100000000"], "--count"),
+    (["search", "--samples", "100001"], "--samples"),
+    (["search", "--samples", "100000000"], "--samples"),
+    (["report", "--samples", "100001"], "--samples"),
+    (["report", "--samples", "100000000"], "--samples"),
+])
+def test_cli_caps_member_counts(capsys, monkeypatch, argv, flag):
+    def no_measure(*args, **kwargs):
+        raise AssertionError("a measure was drawn")
+
+    monkeypatch.setattr(caratheodory, "sample_measure", no_measure)
+    monkeypatch.setattr(validation, "sample_measure", no_measure)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at most {cli.MAX_COUNT}\n"
+    assert cli.MAX_COUNT == 100_000
 
 
 def test_cli_negative_zero_round_trips(capsys):
