@@ -166,6 +166,15 @@ def _default_grid(dim: int) -> tuple[int, ...]:
     return {3: _GRID_3D, 2: _GRID_2D, 1: _GRID_1D}[dim]
 
 
+def _clip(v, bounds) -> list[float]:
+    """``np.clip(v, lo, hi)`` with array bounds, on Python floats.
+
+    It is ``min(max(a, lo), hi)`` except at a signed zero: like numpy, a
+    -0.0 clipped to a 0.0 bound becomes the bound.  NaN passes through.
+    """
+    return [lo if a <= lo else hi if a >= hi else a for a, (lo, hi) in zip(v, bounds)]
+
+
 def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
                  refine_starts: int = 10) -> tuple[tuple[float, ...], float]:
     """Dense grid scan plus Nelder-Mead refinement, clipped to the box.
@@ -192,20 +201,19 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
     # broadcast; every node still sees the same IEEE operations in order.
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     flat = np.broadcast_to(fn(mesh), shape).ravel()
-    lo, hi = np.array(bounds).T
 
     best_point = None
     best_val = -math.inf
     for k in top_k(flat, min(refine_starts, flat.size)):
         idx = np.unravel_index(int(k), shape)
-        x0 = np.array([axes[d][idx[d]] for d in range(dim)])
+        x0 = [float(axes[d][idx[d]]) for d in range(dim)]
         node_val = float(flat[k])
         if node_val > best_val:
-            best_val, best_point = node_val, tuple(float(v) for v in x0)
-        res = minimize(lambda v: -fn(np.clip(v, lo, hi)), x0,
+            best_val, best_point = node_val, tuple(x0)
+        res = minimize(lambda v: -fn(_clip(v, bounds)), x0,
                        xatol=1e-12, fatol=1e-14, maxiter=2000)
-        cand = np.clip(res.x, lo, hi)
+        cand = _clip(res.x.tolist(), bounds)
         val = float(fn(cand))
         if val > best_val:
-            best_val, best_point = val, tuple(float(v) for v in cand)
+            best_val, best_point = val, tuple(cand)
     return best_point, best_val

@@ -44,7 +44,7 @@ class RootResult:
 def _bisect_newton(fn: Callable[[float], float]) -> RootResult:
     """Smallest root of fn in [0, 1]: scan for a sign change, bisect, polish."""
     xs = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
-    vals = np.array([fn(x) for x in xs])
+    vals = np.array([fn(x) for x in xs.tolist()])
     if abs(vals[0]) < 1e-15:
         return RootResult(r=0.0, residual=abs(float(vals[0])), bracket=(0.0, 0.0),
                           iterations=0)
@@ -98,6 +98,8 @@ def solve_radius(kind: str, param: float) -> RootResult:
     kinds: ``starlike_order`` (alpha in [0,1)), ``mu_beta`` (beta > 1),
     ``convexity`` (alpha in [0,1)), ``m_starlike`` (M > 0).
     """
+    if not math.isfinite(param):
+        raise ValueError("radius parameter must be finite")
     if kind == "starlike_order":
         alpha = param
         if not 0.0 <= alpha < 1.0:

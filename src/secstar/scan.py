@@ -54,7 +54,7 @@ def refine_max(f: Callable[[float], float], xs: Sequence[float],
                values: Sequence[float] | None = None) -> tuple[float, float]:
     """Refine the best grid sample by golden section on its bracketing cell."""
     xs = np.asarray(xs, dtype=float)
-    vals = np.asarray([f(x) for x in xs]) if values is None else np.asarray(values)
+    vals = np.asarray([f(x) for x in xs.tolist()] if values is None else values)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
@@ -75,7 +75,7 @@ def local_minima(f: Callable[[float], float],
                  xs: Sequence[float]) -> list[tuple[float, float]]:
     """All interior local minima of f sampled on the grid, refined."""
     xs = np.asarray(xs, dtype=float)
-    vals = np.asarray([f(x) for x in xs])
+    vals = np.asarray([f(x) for x in xs.tolist()])
     out = []
     for i in range(1, xs.size - 1):
         # <= on the right so a dip straddled by two equal samples still counts.
@@ -110,7 +110,7 @@ class NelderMeadResult:
     nit: int
 
 
-def nelder_mead(fun: Callable[[np.ndarray], float], x0: Sequence[float],
+def nelder_mead(fun: Callable[[list[float]], float], x0: Sequence[float],
                 xatol: float, fatol: float, maxiter: int) -> NelderMeadResult:
     """Minimize ``fun`` from ``x0`` by the Nelder-Mead simplex method.
 
@@ -118,57 +118,68 @@ def nelder_mead(fun: Callable[[np.ndarray], float], x0: Sequence[float],
     ``minimize(method="Nelder-Mead")`` with ``maxiter`` and no evaluation
     cap: the same initial simplex, coefficients, vertex ordering and
     stopping test, so it returns the same ``x``, ``fun``, ``nfev`` and
-    ``nit`` bit for bit.
+    ``nit`` bit for bit.  The simplex is held as Python floats and every
+    step is written element by element in scipy's operation order; ``fun``
+    receives a fresh list of floats.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
+    n = len(x0)
     nfev = 0
 
     def f(x):
         nonlocal nfev
         nfev += 1
-        return fun(x.copy())
+        return float(fun(list(x)))
 
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    def by_value(sim, fsim):
+        # numpy's argsort, as scipy sorts: it breaks ties unlike a stable
+        # sort once there are four or more vertices.
+        order = np.argsort(np.array(fsim))
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    sim = [x0]
     for k in range(n):
-        sim[k + 1] = x0
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
+        vertex = list(x0)
+        vertex[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        sim.append(vertex)
+    sim, fsim = by_value(sim, [f(v) for v in sim])
 
     nit = 1
     while nit < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        best, worst = sim[0], sim[-1]
+        if (all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))
+                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
+        # The centroid of all but the worst vertex, summed in row order.
+        total = best
+        for v in sim[1:-1]:
+            total = [a + b for a, b in zip(total, v)]
+        xbar = [a / n for a in total]
+        xr = [(1 + rho) * a - rho * w for a, w in zip(xbar, worst)]
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            xe = [(1 + rho * chi) * a - rho * chi * w for a, w in zip(xbar, worst)]
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                xc = [(1 + psi * rho) * a - psi * rho * w for a, w in zip(xbar, worst)]
                 fxc = f(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = (1 - psi) * xbar + psi * sim[-1]
+                xc = [(1 - psi) * a + psi * w for a, w in zip(xbar, worst)]
                 fxc = f(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    sim[j] = [b + sigma * (a - b) for a, b in zip(sim[j], best)]
                     fsim[j] = f(sim[j])
         nit += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return NelderMeadResult(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, nit=nit)
+        sim, fsim = by_value(sim, fsim)
+    return NelderMeadResult(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev,
+                            nit=nit)

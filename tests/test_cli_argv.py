@@ -6,8 +6,11 @@ end in exit 0, 2 or 3 without an uncaught exception; a NaN or negative
 without ``--bounds`` or ``--circle``, and ``--n`` with ``--seed`` or
 ``--max-atoms`` must be usage errors (exit 2); and a
 successful JSON run must print canonical JSON: parsing the output and
-re-serializing it gives the same bytes.  A second sweep adds a shared flag
-the subcommand does not take, which must exit 2 with nothing on stdout.
+re-serializing it gives the same bytes.  A sweep per radius kind applies the
+same rules to ``radius`` alone, with the parameter drawn from the kind's own
+domain about half the time, so that each of the four root solves runs.  A
+last sweep adds a shared flag the subcommand does not take, which must exit 2
+with nothing on stdout.
 
 The examples are derandomized, so each value strategy draws its known edge
 values (order 1, huge imaginary parts, negative zero, NaN, -1) about half
@@ -19,6 +22,7 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from secstar import cli
@@ -86,6 +90,28 @@ TAKES = {
 }
 
 
+# The parameters for which each radius kind iterates: alpha in [0, 1),
+# beta in (1, 2 sec 1) and M in (0, 1/2).
+RADIUS_DOMAIN = {
+    "starlike_order": st.floats(0.0, 1.0, exclude_max=True),
+    "mu_beta": st.floats(1.0, 2.0 / math.cos(1.0), exclude_min=True, exclude_max=True),
+    "convexity": st.floats(0.0, 1.0, exclude_max=True),
+    "m_starlike": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+}
+
+
+def radius_args(kind):
+    """``[kind, param]``: a parameter in [0, 1) or any float, or from the
+    kind's own domain about half the time."""
+    param = st.one_of(st.floats(0.0, 1.0, exclude_max=True).map(repr), floats())
+    if kind in RADIUS_DOMAIN:
+        # Not a flat one_of, where the domain would be one branch among six.
+        other = param
+        param = st.booleans().flatmap(
+            lambda own: RADIUS_DOMAIN[kind].map(repr) if own else other)
+    return param.map(lambda p: [kind, p])
+
+
 def command(head, *options):
     """``head``, then its own options and the shared flags it takes, in order."""
     shared = [opt(flag, SHARED[flag]) for flag in TAKES[head[0]]]
@@ -99,12 +125,7 @@ SUBCOMMANDS = st.one_of(
     command(["phi"], opt("--z", complexes()), opt("--bounds"), opt("--circle", floats())),
     command(["extremal"], opt("--n", ints(-2, 70))),
     command(["functionals"], opt("--n", ints(-2, 70)), opt("--max-atoms", ints(-1, 10))),
-    # A parameter in [0, 1) part of the time, so that draws reach a solve.
-    command(["radius"],
-            st.tuples(st.sampled_from(["starlike_order", "mu_beta", "convexity",
-                                       "m_starlike", "bogus"]),
-                      st.one_of(st.floats(0.0, 1.0, exclude_max=True).map(repr),
-                                floats())).map(list)),
+    command(["radius"], st.sampled_from([*RADIUS_DOMAIN, "bogus"]).flatmap(radius_args)),
     command(["constants"]),
     command(["sample"], opt("--count", ints(-2, 3)), opt("--max-atoms", ints(-1, 10))),
     # The grid needs 51 nodes per axis and the convolution margin 360 thetas:
@@ -154,9 +175,7 @@ def has(argv, flag):
     return any(a == flag or a.startswith(flag + "=") for a in argv)
 
 
-@settings(max_examples=150)
-@given(argv=SUBCOMMANDS)
-def test_cli_argv_edges(argv):
+def check(argv):
     code, out, err = run(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
@@ -173,6 +192,21 @@ def test_cli_argv_edges(argv):
         assert out
         if "--csv" not in argv:
             assert canonical_json(json.loads(out)) == out
+
+
+@settings(max_examples=150)
+@given(argv=SUBCOMMANDS)
+def test_cli_argv_edges(argv):
+    check(argv)
+
+
+# The fixed sequence above leaves some radius kinds undrawn or unsolved; this
+# sweep draws each kind, so that the four root solves are reached.
+@pytest.mark.parametrize("kind", sorted(RADIUS_DOMAIN))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_cli_radius_argv_edges(kind, data):
+    check(data.draw(command(["radius"], radius_args(kind))))
 
 
 @settings(max_examples=100)

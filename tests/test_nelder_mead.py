@@ -25,11 +25,11 @@ def _negated(name):
 
 
 @functools.cache
-def _default_starts(name, count=10):
+def _default_starts(name, count=10, grid=None):
     """(node, grid value) of the cells maximize_box refines from, found by a
-    full stable sort of the default grid."""
+    full stable sort of the grid (the default one, or ``grid`` per axis)."""
     fn, bounds = OBJECTIVES[name]
-    shape = _default_grid(len(bounds))
+    shape = _default_grid(len(bounds)) if grid is None else (grid,) * len(bounds)
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
     flat = np.asarray(fn(np.meshgrid(*axes, indexing="ij"))).ravel()
     starts = []
@@ -72,13 +72,13 @@ def test_matches_scipy_when_maxiter_stops_it(maxiter):
                      maxiter=maxiter)
 
 
-def _scipy_maximize_box(name, refine_starts=10):
+def _scipy_maximize_box(name, grid, refine_starts):
     """maximize_box written with a full stable sort and scipy's refinement."""
     fn, bounds = OBJECTIVES[name]
     lo, hi = np.array(bounds).T
     fun = _negated(name)
     best_point, best_val = None, -math.inf
-    for x0, node_val in _default_starts(name, refine_starts):
+    for x0, node_val in _default_starts(name, refine_starts, grid):
         if node_val > best_val:
             best_val, best_point = node_val, tuple(float(v) for v in x0)
         res = scipy_minimize(fun, x0, method="Nelder-Mead", options=OPTIONS)
@@ -91,4 +91,54 @@ def _scipy_maximize_box(name, refine_starts=10):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_maximize_box_equals_scipy_refined_reference(name):
-    assert maximize_box(name) == _scipy_maximize_box(name)
+    for grid in (None, 60):
+        for refine_starts in (10, 20):
+            got = maximize_box(name, grid=grid, refine_starts=refine_starts)
+            want = _scipy_maximize_box(name, grid, refine_starts)
+            # repr tells the bits apart, signed zeros included.
+            assert repr(got) == repr(want), (grid, refine_starts)
+
+
+def test_fun_gets_a_fresh_list_of_floats_and_ties_sort_as_in_scipy():
+    # A 3-D staircase.  The four starting vertices take the values
+    # (2.7, 2.8, 2.6, 2.6): a tie that numpy's argsort orders unlike a stable
+    # sort, and later steps tie on its plateaus too.
+    def stairs(v):
+        return math.floor(10.0 * ((v[0] - 0.3) * (v[0] - 0.3) + (v[1] - 2.0) * (v[1] - 2.0)
+                                  + (v[2] - 2.0) * (v[2] - 2.0))) / 10.0
+
+    x0 = np.array([0.9, 0.9, 0.9])
+    start = np.array([stairs(v) for v in [x0, *(x0 + 0.05 * x0 * np.eye(3))]])
+    assert start.tolist() == [2.7, 2.8, 2.6, 2.6]
+    assert np.argsort(start).tolist() != np.argsort(start, kind="stable").tolist()
+    _assert_same_run(stairs, x0, **OPTIONS)
+
+    seen = []
+
+    def recording(v):
+        seen.append(v)
+        return stairs(v)
+
+    got = nelder_mead(recording, x0, **OPTIONS)
+    assert got.nfev == len(seen)
+    assert all(type(v) is list and all(type(a) is float for a in v) for v in seen)
+
+    def mutating(v):
+        value = stairs(v)
+        v[:] = [math.nan] * 3
+        return value
+
+    # Each list is fresh: clobbering it does not reach the simplex.
+    assert repr(nelder_mead(mutating, x0, **OPTIONS)) == repr(got)
+
+
+def test_clip_is_numpy_clip_with_array_bounds():
+    from secstar.objectives import _clip
+    bounds = ((0.0, 2.0), (0.0, 1.0))
+    lo, hi = np.array(bounds).T
+    edges = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, math.inf, math.nan]
+    for a in edges:
+        for b in edges:
+            want = np.clip(np.array([a, b]), lo, hi)
+            got = _clip([a, b], bounds)
+            assert np.array(got).tobytes() == want.tobytes(), (a, b)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from secstar import radii
 from secstar.generator import radial_real_range
-from secstar.radii import (ellipse_parameters, inclusion_constants,
+from secstar.radii import (RootResult, ellipse_parameters, inclusion_constants,
                            solve_radius, stp_constant)
 
 TWO_SEC_ONE = 2 / math.cos(1)
@@ -84,6 +85,77 @@ def test_all_roots_satisfy_equations():
         assert res.residual < 1e-12
         if res.iterations > 0:
             assert res.bracket[0] < res.bracket[1]
+
+
+@pytest.mark.parametrize("kind", ["starlike_order", "mu_beta", "convexity", "m_starlike"])
+@pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+def test_non_finite_param_rejected(kind, param):
+    with pytest.raises(ValueError, match="radius parameter must be finite"):
+        solve_radius(kind, param)
+
+
+def float64_node_bisect_newton(fn):
+    """The root solve with its sign-change scan on ``np.float64`` nodes."""
+    xs = np.linspace(0.0, 1.0, radii.SCAN_CELLS + 1)
+    vals = np.array([fn(x) for x in xs])
+    if abs(vals[0]) < 1e-15:
+        return RootResult(r=0.0, residual=abs(float(vals[0])), bracket=(0.0, 0.0),
+                          iterations=0)
+    sign_change = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
+    if sign_change.size == 0:
+        if abs(vals[-1]) < 1e-15:
+            return RootResult(r=1.0, residual=abs(float(vals[-1])),
+                              bracket=(1.0, 1.0), iterations=0)
+        raise ValueError("no sign change")
+    i = int(sign_change[0])
+    a, b = float(xs[i]), float(xs[i + 1])
+    fa = float(vals[i])
+    bracket = (a, b)
+    iters = 0
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        fm = fn(m)
+        iters += 1
+        if fm == 0.0 or (b - a) < 1e-15:
+            a = b = m
+            break
+        if (fm < 0) == (fa < 0):
+            a, fa = m, fm
+        else:
+            b = m
+    root = 0.5 * (a + b)
+    for _ in range(3):
+        f0 = fn(root)
+        h = 1e-7
+        slope = (fn(min(root + h, 1.0)) - fn(max(root - h, 0.0))) / (
+            min(root + h, 1.0) - max(root - h, 0.0))
+        if slope == 0.0:
+            break
+        step = f0 / slope
+        cand = min(max(root - step, bracket[0]), bracket[1])
+        iters += 1
+        if abs(fn(cand)) <= abs(f0):
+            root = cand
+        if abs(step) < 1e-16:
+            break
+    return RootResult(r=root, residual=abs(fn(root)), bracket=bracket,
+                      iterations=iters)
+
+
+def test_scan_on_floats_matches_float64_node_oracle(monkeypatch):
+    # 25 seeded in-domain parameters per kind, and the convexity radius at 0.
+    rng = np.random.default_rng(20261018)
+    domains = {"starlike_order": (0.0, 1.0), "mu_beta": (1.0, TWO_SEC_ONE),
+               "convexity": (0.0, 1.0), "m_starlike": (0.0, 0.5)}
+    cases = [("convexity", 0.0)]
+    for kind, (lo, hi) in domains.items():
+        cases += [(kind, float(p)) for p in rng.uniform(lo, hi, 25)]
+    got = [solve_radius(kind, param) for kind, param in cases]
+    monkeypatch.setattr(radii, "_bisect_newton", float64_node_bisect_newton)
+    want = [solve_radius(kind, param) for kind, param in cases]
+    assert all(res.iterations > 0 for res in want)
+    # repr tells the bits apart, signed zeros included.
+    assert [repr(res) for res in got] == [repr(res) for res in want]
 
 
 def test_starlike_radius_decreasing_in_alpha():

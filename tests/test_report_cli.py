@@ -185,6 +185,16 @@ def test_cli_domain_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["starlike_order", "mu_beta", "convexity", "m_starlike"])
+@pytest.mark.parametrize("param", ["nan", "inf"])
+def test_cli_radius_rejects_non_finite_param(capsys, kind, param):
+    code = cli.main(["radius", kind, param])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: radius parameter must be finite\n"
+
+
 def test_cli_order_cap(capsys):
     for argv in (["--order", "100", "extremal", "--n", "2"],
                  ["extremal", "--n", "2", "--order", "100"]):
