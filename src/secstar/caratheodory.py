@@ -71,8 +71,11 @@ class HerglotzMeasure:
     def __post_init__(self):
         if not 1 <= len(self.atoms) <= MAX_ATOMS:
             raise ValueError(f"atom count must lie in [1, {MAX_ATOMS}]")
-        w = np.array([a[0] for a in self.atoms])
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
+        # Python min and sum: a measure is built per member, and a fresh
+        # ndarray here cost four times the whole check.  Written so that a
+        # NaN weight fails too.
+        w = [a[0] for a in self.atoms]
+        if not (min(w) >= 0.0 and abs(sum(w) - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
 
     @property
@@ -227,8 +230,11 @@ class SchurPoint:
                 raise ValueError(f"|{name}| must be <= 1")
 
 
-def caratheodory_from_schur(pt: SchurPoint) -> tuple[complex, complex, complex, complex]:
+def caratheodory_from_schur(pt: SchurPoint | tuple) -> tuple[complex, complex, complex, complex]:
     """First four coefficients (p1, p2, p3, p4) parametrized by a SchurPoint.
+
+    Also takes a tuple (p, gamma, eta, rho) of equal-shaped arrays and
+    returns arrays; a SchurPoint gives Python complex values.
 
     The rho summand of p4 carries the factor (1 - |eta|^2).  The source
     material prints (1 - |gamma|^2) there, which admits inadmissible
@@ -237,17 +243,22 @@ def caratheodory_from_schur(pt: SchurPoint) -> tuple[complex, complex, complex, 
     three-fold symmetric kernel and hence p4 = 0.  The corrected factor is
     also the one the downstream determinant expansion is consistent with.
     """
-    p, g, e, r = pt.p, pt.gamma, pt.eta, pt.rho
+    one_point = isinstance(pt, SchurPoint)
+    p, g, e, r = (pt.p, pt.gamma, pt.eta, pt.rho) if one_point else pt
+    # |z| through hypot, as abs(complex) computes it; np.abs can be an ulp off.
+    g_sq = np.hypot(np.real(g), np.imag(g)) ** 2
+    e_sq = np.hypot(np.real(e), np.imag(e)) ** 2
     t = 4.0 - p * p
-    p1 = complex(p)
+    p1 = p + 0j
     p2 = 0.5 * (p * p + g * t)
     p3 = 0.25 * (p**3 + 2.0 * t * p * g - t * p * g * g
-                 + 2.0 * t * (1.0 - abs(g) ** 2) * e)
+                 + 2.0 * t * (1.0 - g_sq) * e)
     p4 = 0.125 * (p**4 + t * g * (p * p * (g * g - 3.0 * g + 3.0) + 4.0 * g)
-                  - 4.0 * t * (1.0 - abs(g) ** 2)
-                  * (p * (g - 1.0) * e + np.conj(g) * e * e
-                     - (1.0 - abs(e) ** 2) * r))
-    return p1, p2, complex(p3), complex(p4)
+                  - 4.0 * t * (1.0 - g_sq)
+                  * (p * (g - 1.0) * e + np.conj(g) * e * e - (1.0 - e_sq) * r))
+    if one_point:
+        return p1, p2, complex(p3), complex(p4)
+    return p1, p2, p3, p4
 
 
 def caratheodory_from_schur_printed(pt: SchurPoint) -> tuple[complex, complex, complex, complex]:

@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
-from . import caratheodory, extremal, functionals, generator, objectives
-from . import radii, report as report_mod, subordination, validation
-from .published import PUBLISHED
+# The only handler module the parser reads (the --objective choices); each
+# handler imports the rest, so a process loads what its subcommand runs.
+from . import objectives
 from .serialize import canonical_json, complex_pair, csv_lines
 
 EXIT_OK = 0
@@ -43,6 +42,7 @@ def _emit(args, payload, csv_header=None, csv_rows=None) -> None:
 
 
 def _rational_guess(x: float) -> str:
+    from fractions import Fraction
     frac = Fraction(x).limit_denominator(10**6)
     return f"{frac.numerator}/{frac.denominator}"
 
@@ -53,11 +53,13 @@ def _member_count(flag: str, count: int) -> int:
     return count
 
 
-def _member_from_args(args) -> extremal.ClassMember:
+def _member_from_args(args):
     if args.n is not None:
         if args.seed is not None or args.max_atoms is not None:
             raise ValueError("--n takes no --seed or --max-atoms")
+        from . import extremal
         return extremal.build_extremal(args.n, args.order)
+    from . import caratheodory
     m = caratheodory.sample_measure(
         DEFAULT_SEED if args.seed is None else args.seed,
         caratheodory.MAX_ATOMS if args.max_atoms is None else args.max_atoms)
@@ -68,6 +70,7 @@ def _member_from_args(args) -> extremal.ClassMember:
 
 
 def _cmd_coeffs(args) -> int:
+    from . import generator
     from .series import elementary
     if args.function in ("cos", "sin", "exp", "geometric", "identity"):
         s = elementary(args.function, args.order)
@@ -85,6 +88,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    from . import generator
     if args.circle is not None:
         sample = generator.sample_circle(args.circle, args.samples or 4096)
         points = [[float(t), v.real, v.imag]
@@ -110,6 +114,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from . import extremal
     member = extremal.build_extremal(args.n, args.order)
     coeffs = member.coeffs.coeffs
     payload = {
@@ -127,13 +132,15 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import caratheodory
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     _member_count("--count", args.count)
     if args.order < 2:
         # The CSV rows carry a2.
         raise ValueError("sample needs --order of at least 2")
-    measures = [caratheodory.sample_measure(args.seed + i, args.max_atoms)
+    max_atoms = caratheodory.MAX_ATOMS if args.max_atoms is None else args.max_atoms
+    measures = [caratheodory.sample_measure(args.seed + i, max_atoms)
                 for i in range(args.count)]
     out = []
     for m, member in zip(measures,
@@ -151,6 +158,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_functionals(args) -> int:
+    from . import functionals
     member = _member_from_args(args)
     rep = functionals.compute_report(member, convolution=args.convolution)
     payload = {
@@ -187,6 +195,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_radius(args) -> int:
+    from . import radii
     res = radii.solve_radius(args.kind, args.param)
     payload = {"kind": args.kind, "param": args.param, "r": res.r,
                "residual": res.residual, "bracket": list(res.bracket),
@@ -200,6 +209,8 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from . import generator, radii, subordination
+    from .published import PUBLISHED
     # (name, computed value, report row whose published value applies)
     entries = [(rep.name, rep.computed, rep.name)
                for rep in subordination.gamma_constants().values()]
@@ -233,9 +244,11 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_convolution_check(args) -> int:
+    from . import functionals
     member = _member_from_args(args)
-    margin = functionals.convolution_margin(member,
-                                            theta_samples=args.theta_samples,
+    theta_samples = (functionals.THETA_SAMPLES if args.theta_samples is None
+                     else args.theta_samples)
+    margin = functionals.convolution_margin(member, theta_samples=theta_samples,
                                             z_radii=args.z_radii,
                                             z_angles=args.z_angles)
     satisfied, worst = functionals.sufficient_coefficient_check(member)
@@ -250,6 +263,7 @@ def _cmd_convolution_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import validation
     summary = validation.run_search(validation.SearchConfig(
         count=_member_count("--samples", args.samples or 10_000), seed=args.seed,
         order=args.order))
@@ -259,6 +273,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import report as report_mod
     rows = report_mod.discrepancy_report(
         search_count=_member_count("--samples", args.samples or 2000), seed=args.seed)
     _emit(args, [asdict(r) for r in rows],
@@ -299,7 +314,7 @@ def _member_options(p) -> None:
     p.add_argument("--n", type=int, help="use the lacunary extremal f_n")
     p.add_argument("--seed", **dict(_FLAGS["seed"], default=None))
     p.add_argument("--max-atoms", type=int, dest="max_atoms",
-                   help=f"atoms of the random member (default {caratheodory.MAX_ATOMS})")
+                   help="atoms of the random member (default: the most allowed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "sample", _cmd_sample, "seeded random members",
                     ["order", "seed", "csv"])
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--max-atoms", type=int, default=caratheodory.MAX_ATOMS,
-                   dest="max_atoms")
+    p.add_argument("--max-atoms", type=int, dest="max_atoms")
 
     p = _subcommand(sub, "functionals", _cmd_functionals,
                     "coefficient functionals of one member", ["order", "csv"])
@@ -358,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "convolution-check", _cmd_convolution_check,
                     "convolution nonvanishing margin", ["order", "csv"])
     _member_options(p)
-    p.add_argument("--theta-samples", type=int, default=functionals.THETA_SAMPLES,
-                   dest="theta_samples")
+    p.add_argument("--theta-samples", type=int, dest="theta_samples")
     p.add_argument("--z-radii", type=int, default=24, dest="z_radii")
     p.add_argument("--z-angles", type=int, default=96, dest="z_angles")
 

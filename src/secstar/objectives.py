@@ -51,7 +51,9 @@ def h2_bound_surface(p: float, rho: float) -> float:
     Accepts scalars or equal-shaped arrays (the maximizer passes its mesh).
     """
     inside = (0.0 <= p) & (p <= 2.0) & (0.0 <= rho) & (rho <= 1.0)
-    if not np.all(inside):
+    # A Python bool for scalar input (each Nelder-Mead step), where np.all
+    # would cost five times the surface itself.
+    if inside is not True and not np.all(inside):
         raise ValueError("(p, rho) outside [0,2]x[0,1]")
     t = 4.0 - p * p
     return (p**4 + 12.0 * p * p * t * rho

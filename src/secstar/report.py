@@ -23,7 +23,7 @@ from .caratheodory import (SchurPoint, caratheodory_from_schur,
                            caratheodory_from_schur_printed,
                            coefficients_from_prefix, toeplitz_min_eigenvalue)
 from .extremal import build_extremal
-from .functionals import hankel_h31
+from .functionals import hankel_h31, modulus
 from .generator import phi_global_bounds
 from .objectives import h3_bound_surface, maximize_box
 from .published import CONFLICT, MATCH, MISMATCH, PUBLISHED
@@ -61,25 +61,62 @@ def _entry(name: str, computed: float) -> DiscrepancyEntry:
                             expected_status=expected, note=note)
 
 
+def _schur_points(count: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Arrays (p, gamma, eta, rho) of ``count`` random points.
+
+    The points of the scalar draw: per point ``p = 2 rng.random()``, then
+    gamma, eta and rho in turn, each the first ``complex(rng.uniform(-1, 1),
+    rng.uniform(-1, 1))`` with modulus at most 1.  The stream is drawn in
+    ``rng.random`` blocks (``uniform(-1, 1)`` is ``-1 + 2u`` bit for bit) and
+    the rejection sequence is replayed on indices into it.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.empty(0)
+    while True:
+        u = np.concatenate([u, rng.random(9 * count + 8)])  # ~8.6 draws a point
+        x = -1.0 + 2.0 * u
+        n = x.size - 1
+        # A pair (x[i], x[i + 1]) is accepted when it lies in the disk; first[i]
+        # is the first accepted j >= i with j = i mod 2, or n when none is.
+        first = np.where(np.hypot(x[:-1], x[1:]) <= 1.0, np.arange(n), n)
+        for parity in (0, 1):
+            first[parity::2] = np.minimum.accumulate(first[parity::2][::-1])[::-1]
+        first = first.tolist() + [n] * 3
+        picks, at = [], 0
+        for _ in range(count):
+            g = first[at + 1]
+            e = first[g + 2]
+            r = first[e + 2]
+            if r == n:
+                break  # the stream ran out: draw another block
+            picks.append((at, g, e, r))
+            at = r + 2
+        else:
+            break
+    at, g, e, r = np.array(picks, dtype=np.intp).reshape(count, 4).T
+
+    def disk(i):
+        w = np.empty(i.size, dtype=np.complex128)
+        w.real, w.imag = x[i], x[i + 1]
+        return w
+
+    return 2.0 * u[at], disk(g), disk(e), disk(r)
+
+
+def _schur_margins(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """|H3(1)| and its cuboid majorant at the points of :func:`_schur_points`,
+    in one array pass."""
+    p, gamma, eta, rho = _schur_points(count, seed)
+    a2, a3, a4, a5 = coefficients_from_prefix(
+        *caratheodory_from_schur((p, gamma, eta, rho)))
+    return (modulus(hankel_h31(a2, a3, a4, a5)),
+            h3_bound_surface((p, modulus(gamma), modulus(eta))))
+
+
 def _schur_domination_violation(count: int, seed: int) -> float:
     """max over random admissible points of (|H3(1)| - majorant)^+ ."""
-    rng = np.random.default_rng(seed)
-
-    def disk() -> complex:
-        while True:
-            w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if abs(w) <= 1.0:
-                return w
-
-    worst = 0.0
-    for _ in range(count):
-        pt = SchurPoint(p=float(2.0 * rng.random()), gamma=disk(),
-                        eta=disk(), rho=disk())
-        a2, a3, a4, a5 = coefficients_from_prefix(*caratheodory_from_schur(pt))
-        h3 = abs(hankel_h31(a2, a3, a4, a5))
-        bound = h3_bound_surface((pt.p, abs(pt.gamma), abs(pt.eta)))
-        worst = max(worst, h3 - bound)
-    return worst
+    h3, bound = _schur_margins(count, seed)
+    return float(np.max(h3 - bound, initial=0.0))
 
 
 def discrepancy_report(search_count: int = 2000,

@@ -57,6 +57,24 @@ def test_measure_validation():
         HerglotzMeasure(atoms=tuple((1 / 9, 0.1 * i) for i in range(9)))
 
 
+def test_measure_rejects_a_negative_or_nan_weight():
+    with pytest.raises(ValueError, match="nonnegative"):
+        HerglotzMeasure(atoms=((1.25, 0.0), (-0.25, 1.0)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        HerglotzMeasure(atoms=((1.0, 0.0), (-1e-300, 1.0)))
+    for atoms in (((math.nan, 0.0),), ((1.0, 0.0), (math.nan, 1.0))):
+        with pytest.raises(ValueError):
+            HerglotzMeasure(atoms=atoms)
+
+
+def test_measure_weight_sum_tolerance_is_1e_12():
+    HerglotzMeasure(atoms=((0.5 + 0.9e-12, 0.0), (0.5, 1.0)))
+    HerglotzMeasure(atoms=((0.5 - 0.9e-12, 0.0), (0.5, 1.0)))
+    for off in (1.1e-12, -1.1e-12):
+        with pytest.raises(ValueError, match="sum to 1"):
+            HerglotzMeasure(atoms=((0.5 + off, 0.0), (0.5, 1.0)))
+
+
 def test_sample_measure_deterministic():
     a = sample_measure(1234)
     b = sample_measure(1234)

@@ -12,7 +12,7 @@ from secstar.objectives import (OBJECTIVES, BoxPoint, edge_k1, edge_k4, edge_k6,
                                 h2_reduced_polynomial, h3_bound_surface,
                                 maximize_box)
 from secstar.caratheodory import coefficients_from_prefix
-from secstar.scan import top_k
+from secstar.scan import nelder_mead, top_k
 
 K1_MAX = (7 * math.sqrt(21) - 27) / 300
 K6_MAX = 1 / (12 * math.sqrt(3))
@@ -28,8 +28,13 @@ def test_h2_surface_values():
 
 
 def test_h2_surface_rejects_outside_box():
-    with pytest.raises(ValueError):
-        h2_bound_surface(2.5, 0.5)
+    # Python floats take the scalar domain test, numpy values the array one.
+    for p, rho in ((2.5, 0.5), (-0.1, 0.5), (1.0, 1.5), (1.0, -1e-300),
+                   (math.nan, 0.5), (1.0, math.nan)):
+        for args in ((p, rho), (np.float64(p), np.float64(rho)),
+                     (np.array([1.0, p]), np.array([0.5, rho]))):
+            with pytest.raises(ValueError):
+                h2_bound_surface(*args)
 
 
 def test_h2_reduced_matches_rho_one_section():
@@ -77,12 +82,23 @@ def test_maximize_cuboid_surface():
     assert np.allclose(argmax, (0.0, 0.0, 1.0), atol=1e-9)
 
 
-def test_maximize_h2_surface_peaks_at_corner():
+def test_maximize_h2_surface_peaks_at_corner(monkeypatch):
     # The printed H2(2) majorant peaks at (p, rho) = (2, 1) with 17/48, the
-    # same value as the reduced quartic.
+    # same value as the reduced quartic.  The result and the Nelder-Mead
+    # evaluation count are pinned to those of the np.all domain test.
+    nfev = []
+
+    def counting(*args, **kwargs):
+        res = nelder_mead(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(objectives, "minimize", counting)
     argmax, value = maximize_box("g_h2")
     assert np.allclose(argmax, (2.0, 1.0), atol=1e-12)
     assert abs(value - 17 / 48) < 1e-15
+    assert repr((argmax, value)) == "((2.0, 1.0), 0.3541666666666667)"
+    assert sum(nfev) == 1526
 
 
 def test_maximize_univariate_closed_forms():

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -7,8 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from secstar import (caratheodory, cli, extremal, generator, subordination,
+import secstar
+from secstar import (caratheodory, cli, extremal, generator, report, subordination,
                      validation)
+from secstar.caratheodory import (SchurPoint, caratheodory_from_schur,
+                                  coefficients_from_prefix)
+from secstar.functionals import hankel_h31
+from secstar.objectives import h3_bound_surface
 from secstar.published import PUBLISHED
 from secstar.series import PowerSeries
 from secstar.report import CONFLICT, MATCH, MISMATCH, report_ok
@@ -477,3 +483,112 @@ def test_runtime_path_loads_no_scipy(capsys):
     assert result["loaded"] == []
     assert result["runs"] == [list(run_cli(capsys, argv)) for argv in commands]
     assert all(code == 0 for code, _ in result["runs"])
+
+
+# -- modules load on demand -------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+# Runs ``python -m secstar ARG...`` and, at exit, prints the loaded secstar
+# submodules to stderr as one JSON line.
+_MODULES_AT_EXIT_CHILD = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m for m in sys.modules if m.startswith("secstar."))), file=sys.stderr))
+sys.argv = ["secstar"] + sys.argv[1:]
+runpy.run_module("secstar", run_name="__main__", alter_sys=True)
+"""
+
+
+def _child(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_SRC))
+
+
+def test_import_secstar_loads_no_submodule():
+    child = _child("-c", "import json, sys, secstar; print(json.dumps("
+                         "[m for m in sys.modules if m.startswith('secstar.')]))")
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == []
+
+
+def test_phi_point_value_loads_only_the_generator_chain(capsys):
+    child = _child("-c", _MODULES_AT_EXIT_CHILD, "phi", "--z", "0.5")
+    assert child.returncode == 0, child.stderr
+    loaded = set(json.loads(child.stderr.splitlines()[-1]))
+    assert "secstar.generator" in loaded
+    assert not loaded & {f"secstar.{m}" for m in (
+        "caratheodory", "functionals", "validation", "report", "radii",
+        "subordination", "extremal")}
+    assert child.stdout == run_cli(capsys, ["phi", "--z", "0.5"])[1]
+
+
+def test_package_names_are_the_defining_modules_objects():
+    assert secstar.__version__ == "0.1.0"
+    assert set(secstar.__all__) <= set(dir(secstar))
+    for name in secstar.__all__:
+        obj = getattr(secstar, name)
+        assert obj.__module__.startswith("secstar."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    with pytest.raises(AttributeError):
+        secstar.no_such_name
+
+
+def test_package_name_follows_a_monkeypatch_on_its_module(monkeypatch):
+    from secstar import objectives
+    original = objectives.maximize_box
+    assert secstar.maximize_box is original
+
+    def patched(*args, **kwargs):
+        return (), 0.0
+
+    monkeypatch.setattr(objectives, "maximize_box", patched)
+    assert secstar.maximize_box is patched
+    from secstar import maximize_box
+    assert maximize_box is patched
+    monkeypatch.undo()
+    assert secstar.maximize_box is original
+
+
+# -- the report's Schur sweep, batched ---------------------------------------------
+
+
+def _scalar_schur_points(count, seed):
+    """The sweep's points drawn one scalar at a time: the oracle of the batch."""
+    rng = np.random.default_rng(seed)
+
+    def disk():
+        while True:
+            w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            if abs(w) <= 1.0:
+                return w
+
+    return [SchurPoint(p=float(2.0 * rng.random()), gamma=disk(), eta=disk(),
+                       rho=disk()) for _ in range(count)]
+
+
+# Seeds 35 and 65 run past the first block of draws at these counts.
+@pytest.mark.parametrize("count, seed", [(2000, 0xC0FFEE), (2000, 20240),
+                                         (1, 0xC0FFEE), (2, 0xC0FFEE), (5, 0xC0FFEE),
+                                         (1, 35), (2, 35), (5, 65)])
+def test_schur_sweep_equals_scalar_oracle(count, seed):
+    points = _scalar_schur_points(count, seed)
+    p, gamma, eta, rho = report._schur_points(count, seed)
+    for got, attr in ((p, "p"), (gamma, "gamma"), (eta, "eta"), (rho, "rho")):
+        want = np.array([getattr(pt, attr) for pt in points], dtype=got.dtype)
+        assert got.tobytes() == want.tobytes(), attr   # bit for bit
+
+    worst = 0.0
+    h3_want, bound_want = [], []
+    for pt in points:
+        a2, a3, a4, a5 = coefficients_from_prefix(*caratheodory_from_schur(pt))
+        h3_want.append(abs(hankel_h31(a2, a3, a4, a5)))
+        bound_want.append(h3_bound_surface((pt.p, abs(pt.gamma), abs(pt.eta))))
+        worst = max(worst, h3_want[-1] - bound_want[-1])
+    h3, bound = report._schur_margins(count, seed)
+    # The array pass rounds p**3, p**4 and the divisions in the last bit;
+    # H3(1) cancels terms of size about 1, so |H3| moves by up to 1.25e-16.
+    assert np.all(np.abs(h3 - h3_want) <= 1e-15)
+    assert np.all(np.abs(bound - bound_want) <= 1e-15 * np.array(bound_want))
+    row = report._schur_domination_violation(count, seed)
+    assert repr(row) == repr(worst) == "0.0"
