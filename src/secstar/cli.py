@@ -14,6 +14,7 @@ raising RuntimeError).
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from dataclasses import asdict
 
@@ -51,6 +52,16 @@ def _member_count(flag: str, count: int) -> int:
     if count > MAX_COUNT:
         raise ValueError(f"{flag} must be at most {MAX_COUNT}")
     return count
+
+
+def _point(text: str) -> complex:
+    try:
+        z = complex(text.replace(" ", ""))
+    except ValueError:
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise ValueError("--z must be a finite complex number")
+    return z
 
 
 def _member_from_args(args):
@@ -105,7 +116,7 @@ def _cmd_phi(args) -> int:
         return EXIT_OK
     if args.samples is not None:
         raise ValueError("--samples needs --bounds or --circle")
-    z = complex(args.z.replace(" ", "")) if args.z is not None else 0j
+    z = _point(args.z) if args.z is not None else 0j
     val = generator.phi_eval(z)
     _emit(args, {"z": complex_pair(z), "value": complex_pair(val)},
           csv_header=["z_re", "z_im", "re", "im"],
@@ -401,8 +412,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
-        # The numerical self-checks (series tail, quadrature depth, sampled
-        # ranges) raise RuntimeError: a verification failure, not bad input.
+        # The numerical self-checks (the series tail of g, sampled ranges,
+        # missing minima) raise RuntimeError: a verification failure, not
+        # bad input.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -7,6 +7,9 @@ data furnishes the sharp envelopes: for |z| = r,
     -f2(-r) <= |f(z)| <= f2(r)      (growth)
     f2'(-r) <= |f'(z)| <= f2'(r)    (distortion)
     |arg f(z)/z| <= max over the circle of |arg f2(z)/z|   (rotation)
+
+The envelopes come from the primitive g: f2(z) = z e^{g(z)}, so
+f2'(z) = e^{g(z)} phi(z) and arg(f2(z)/z) = Im g(z).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import phi_series
+from .generator import G_ORDER, g_eval, g_series, phi_series
 from .scan import refine_max
 from .series import PowerSeries
 
@@ -80,59 +83,39 @@ def build_extremal(n: int, order: int) -> ClassMember:
     return ClassMember(PowerSeries(a), provenance=f"extremal-{n}")
 
 
-def _envelope_series(r: float, derivative: bool = False) -> PowerSeries:
-    # Convergence radius is pi/2; pick the order so the tail is far below
-    # the 1e-10 acceptance bar, then verify by comparing two orders.  The
-    # derivative's coefficients carry an extra factor n, which keeps its
-    # order-64 tail above the bar from r = 0.84 on.
-    order = 64 if r <= (0.8 if derivative else 0.9) else 128
-    series = build_extremal(2, order).coeffs
-    return series.derivative() if derivative else series
-
-
-def _checked_eval(series: PowerSeries, z: complex) -> complex:
-    full = series.evaluate(z)
-    probe = series.truncate(series.order - 16).evaluate(z)
-    if abs(full - probe) >= 1e-10:
-        raise RuntimeError("envelope series tail estimate exceeds 1e-10")
-    return full
-
-
 def growth_envelope(r: float) -> tuple[float, float]:
-    """Sharp bounds for |f(z)| on |z| = r: (-f2(-r), f2(r))."""
+    """Sharp bounds for |f(z)| on |z| = r: (-f2(-r), f2(r)) = (r e^{g(-r)}, r e^{g(r)})."""
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must lie in [0, 1)")
     if r == 0.0:
         return 0.0, 0.0
-    s = _envelope_series(r)
-    return -_checked_eval(s, -r).real, _checked_eval(s, r).real
+    return r * math.exp(g_eval(-r).real), r * math.exp(g_eval(r).real)
 
 
 def distortion_envelope(r: float) -> tuple[float, float]:
-    """Sharp bounds for |f'(z)| on |z| = r: (f2'(-r), f2'(r))."""
+    """Sharp bounds for |f'(z)| on |z| = r: (f2'(-r), f2'(r)), where
+    f2'(z) = e^{g(z)} (1+z)/cos z."""
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must lie in [0, 1)")
     if r == 0.0:
         return 1.0, 1.0
-    d = _envelope_series(r, derivative=True)
-    return _checked_eval(d, -r).real, _checked_eval(d, r).real
+    return (math.exp(g_eval(-r).real) * (1.0 - r) / math.cos(r),
+            math.exp(g_eval(r).real) * (1.0 + r) / math.cos(r))
 
 
 def rotation_bound(r: float, samples: int = 1024) -> float:
-    """max over |z| = r of |arg( f2(z)/z )|, golden-refined."""
+    """max over |z| = r of |arg( f2(z)/z )| = |Im g(z)|, golden-refined."""
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must lie in [0, 1)")
     if samples < 256:
         raise ValueError("need at least 256 samples")
     if r == 0.0:
         return 0.0
-    s = _envelope_series(r)
+    s = g_series(G_ORDER)
 
     def obj(t: float) -> float:
-        z = r * cmath.exp(1j * t)
-        return abs(cmath.phase(s.evaluate(z) / z))
+        return abs(s.evaluate(r * cmath.exp(1j * t)).imag)
 
     theta = np.linspace(0.0, math.pi, samples)
-    z = r * np.exp(1j * theta)
-    _, best = refine_max(obj, theta, values=np.abs(np.angle(s.evaluate(z) / z)))
+    _, best = refine_max(obj, theta, values=np.abs(s.evaluate(r * np.exp(1j * theta)).imag))
     return best

@@ -55,7 +55,7 @@ SHARP_BOUNDS = {
     "h31": 1.0 / 9.0,
 }
 
-_FLAG_TOL = 1e-9
+_BOUND_SLACK = 1e-9
 #: The mu values of the Fekete-Szego functional |a3 - mu a2^2|.
 FS_MUS = (0.0, 0.25, 0.5, 1.0, 1.25, 2.0)
 #: Default theta grid of convolution_margin, and the fixed one of
@@ -161,7 +161,7 @@ def functional_columns(coeffs: np.ndarray) -> FunctionalColumns:
     h31 = hankel_h31(a2, a3, a4, a5)
     t21 = toeplitz_t21(a2)
     t31 = toeplitz_t31(a2, a3)
-    tol = _FLAG_TOL
+    tol = _BOUND_SLACK
     flags = {
         "a2_le_1": modulus(a2) <= SHARP_BOUNDS["a2"] + tol,
         "a3_le_3_4": modulus(a3) <= SHARP_BOUNDS["a3"] + tol,

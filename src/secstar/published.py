@@ -29,7 +29,7 @@ PUBLISHED: dict[str, tuple[float, float, str, str]] = {
     "gamma0": (1.6471, 1e-3, MATCH, ""),
     # Constants of the primitive g.  The published gamma1/gamma2/Im g(i)
     # decimals all equal the degree-7 partial sum of the series of g, not
-    # the integral; the honest quadrature values land well outside the
+    # the integral; the values of g itself land well outside the
     # tight tolerances, so these rows are expected mismatches.
     "gamma1": (-0.904233, 1e-4, MISMATCH, _PARTIAL_SUM),
     "gamma2": (1.53664, 1e-4, MISMATCH, _PARTIAL_SUM),

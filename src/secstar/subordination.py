@@ -3,10 +3,11 @@
 The first-order implication "1 + c z p'(z) subordinate to the generator
 forces p subordinate to a target" yields lower bounds for c built from the
 primitive g: its values at -1 and 1 (here gamma1, gamma2) and Im g(i).
-Everything is computed from quadrature.  The discrepancy report sets the
-computed values beside the published decimals, several of which turn out
-to be low-order partial sums of the series of g rather than values of the
-integral.
+Everything is computed from the order-80 series of g (``generator.g_eval``),
+which agrees with 30-digit quadrature to two ulps at -1, 1 and i.  The
+discrepancy report sets the computed values beside the published decimals,
+several of which turn out to be degree-7 partial sums of that series rather
+than values of g.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ TOL_EXACT = 1e-12
 def _g_gauss_legendre(z: float) -> float:
     """g(z) = integral_0^z (1 + t - cos t) / (t cos t) dt, by Gauss-Legendre.
 
-    32 nodes, independent of the package's adaptive Simpson rule; the
+    32 nodes, independent of the package's series of g; the
     nodes never touch the removable singularity at t = 0.
     """
     x, w = np.polynomial.legendre.leggauss(32)

@@ -215,3 +215,9 @@ def test_cli_rejects_flags_the_subcommand_does_not_take(argv):
     code, out, err = run(argv)
     assert code == 2, (argv, code, err)
     assert out == ""
+
+
+@pytest.mark.parametrize("z", ["abc", "inf", "1+nanj", "nanj", "-infj", "1+"])
+def test_cli_phi_rejects_a_point_that_is_not_a_finite_complex_number(z):
+    message = "error: --z must be a finite complex number\n"
+    assert run(["phi", f"--z={z}"]) == (2, "", message)

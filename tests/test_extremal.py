@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from secstar import extremal
 from secstar.extremal import (ClassMember, build_extremal, distortion_envelope,
                               growth_envelope, rotation_bound)
-from secstar.generator import g_eval, phi_series
+from secstar.generator import G_ORDER, g_series, phi_series
 from secstar.scan import refine_max
 from secstar.series import PowerSeries, exp_integral_lift
 
@@ -145,16 +144,17 @@ def test_distortion_envelope_at_half():
 
 @pytest.mark.parametrize("r", [k / 20 for k in range(1, 20)])
 def test_envelopes_match_closed_forms(r):
-    # f2(z) = z exp(g(z)) and f2'(z) = exp(g(z)) (1 + z)/cos z, with g by
-    # quadrature; the distortion sweep covers r = 0.85 and 0.90, where an
-    # order-64 derivative series fails its own tail check.
-    g_minus, g_plus = g_eval(-r).real, g_eval(r).real
+    # The envelopes come from g in closed form; the reference is f2's own
+    # order-128 series and its derivative, whose tails at r = 0.95 are far
+    # below the tolerance (convergence radius pi/2).
+    f = build_extremal(2, 128).coeffs
+    d = f.derivative()
     lo, hi = growth_envelope(r)
-    assert abs(lo - r * math.exp(g_minus)) < 1e-9
-    assert abs(hi - r * math.exp(g_plus)) < 1e-9
+    assert abs(lo - -f.evaluate(-r).real) < 1e-9
+    assert abs(hi - f.evaluate(r).real) < 1e-9
     lo, hi = distortion_envelope(r)
-    assert abs(lo - math.exp(g_minus) * (1 - r) / math.cos(r)) < 1e-9
-    assert abs(hi - math.exp(g_plus) * (1 + r) / math.cos(r)) < 1e-9
+    assert abs(lo - d.evaluate(-r).real) < 1e-9
+    assert abs(hi - d.evaluate(r).real) < 1e-9
 
 
 def test_envelopes_reject_radius_one():
@@ -180,14 +180,26 @@ def test_rotation_bound_at_half():
 def test_rotation_bound_equals_scalar_grid_oracle(r, samples):
     # The array pass may move a grid value by an ulp; golden section still
     # decides the result, so it must keep every bit of the scalar scan's.
-    s = extremal._envelope_series(r)
+    s = g_series(G_ORDER)
 
     def obj(t):
-        z = r * cmath.exp(1j * t)
-        return abs(cmath.phase(s.evaluate(z) / z))
+        return abs(s.evaluate(r * cmath.exp(1j * t)).imag)
 
     theta = np.linspace(0.0, math.pi, samples)
     assert rotation_bound(r, samples) == refine_max(obj, theta)[1]
+
+
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.9, 0.97])
+def test_rotation_bound_matches_extremal_argument(r):
+    # max |arg(f2(z)/z)| from f2's own order-128 series, not from g.
+    f = build_extremal(2, 128).coeffs
+
+    def obj(t):
+        z = r * cmath.exp(1j * t)
+        return abs(cmath.phase(f.evaluate(z) / z))
+
+    expected = refine_max(obj, np.linspace(0.0, math.pi, 2048))[1]
+    assert abs(rotation_bound(r) - expected) < 1e-12
 
 
 def test_rotation_bound_monotone():

@@ -180,6 +180,16 @@ def test_im_g_at_i_closed_form():
     assert abs(g_eval(1j).imag - gd1) < 1e-10
 
 
+@pytest.mark.parametrize("z,part,reference", [
+    # 30-digit mpmath.quad values (notes/decisions.md section 1) and gd(1).
+    (1.0, "real", 1.548805302915597586377),
+    (-1.0, "real", -0.903577038851436555249),
+    (1j, "imag", 0.8657694832396586242896),
+])
+def test_g_eval_within_two_ulp(z, part, reference):
+    assert abs(getattr(g_eval(z), part) - reference) <= 2 * math.ulp(reference)
+
+
 def test_g_series_first_coefficients():
     assert np.allclose(g_series(5).coeffs,
                        [0, 1, 0.25, 1 / 6, 5 / 96, 1 / 24], atol=1e-15)

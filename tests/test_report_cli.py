@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import secstar
-from secstar import (caratheodory, cli, extremal, generator, report, subordination,
-                     validation)
+from secstar import caratheodory, cli, generator, report, subordination, validation
 from secstar.caratheodory import (SchurPoint, caratheodory_from_schur,
                                   coefficients_from_prefix)
 from secstar.functionals import hankel_h31
@@ -410,13 +409,11 @@ def test_cli_optimize_h2_surface(capsys):
 # -- numerical self-checks: RuntimeError maps to exit 3 ------------------------
 
 
-def _envelope_with_large_tail(monkeypatch):
-    # No subcommand evaluates an envelope: run the guard from the extremal one.
-    monkeypatch.setattr(extremal, "_envelope_series",
-                        lambda r, derivative=False: PowerSeries(np.ones(65)))
-    monkeypatch.setattr(cli, "_cmd_extremal",
-                        lambda args: extremal.growth_envelope(0.99))
-    return ["extremal"], "envelope series tail estimate exceeds 1e-10"
+def _g_series_with_large_tail(monkeypatch):
+    # g_eval's tail guard, reached through the real constants handler.
+    monkeypatch.setattr(generator, "g_series",
+                        lambda order: PowerSeries(np.ones(order + 1)))
+    return ["constants"], "series tail of g exceeds 1e-10"
 
 
 def _radial_range_escape(monkeypatch):
@@ -424,13 +421,6 @@ def _radial_range_escape(monkeypatch):
     monkeypatch.setattr(generator, "_phi_values", lambda z: (1.0 + z) / np.cos(z) + 1.0)
     monkeypatch.setattr(cli, "_cmd_phi", lambda args: generator.radial_real_range(0.5))
     return ["phi"], "sampled Re phi escapes the radial range"
-
-
-def _simpson_depth(monkeypatch):
-    # A jump at |t| = 1/3 never meets the Simpson error test.
-    monkeypatch.setattr(generator, "_g_integrand",
-                        lambda t: 1.0 if abs(t) > 1 / 3 else 0.0)
-    return ["constants"], "adaptive Simpson failed to converge (bug)"
 
 
 def _parabola_no_minima(monkeypatch):
@@ -444,9 +434,8 @@ def _parabola_no_off_axis_minimum(monkeypatch):
     return ["constants"], "off-axis stationary minimum not found (bug)"
 
 
-@pytest.mark.parametrize("guard", [_envelope_with_large_tail, _radial_range_escape,
-                                   _simpson_depth, _parabola_no_minima,
-                                   _parabola_no_off_axis_minimum])
+@pytest.mark.parametrize("guard", [_g_series_with_large_tail, _radial_range_escape,
+                                   _parabola_no_minima, _parabola_no_off_axis_minimum])
 def test_cli_runtime_guards_exit_three(capsys, monkeypatch, guard):
     argv, message = guard(monkeypatch)
     code = cli.main(argv)
