@@ -117,7 +117,10 @@ def _cmd_phi(args) -> int:
     if args.samples is not None:
         raise ValueError("--samples needs --bounds or --circle")
     z = _point(args.z) if args.z is not None else 0j
-    val = generator.phi_eval(z)
+    try:
+        val = generator.phi_eval(z)
+    except OverflowError:
+        raise ValueError("--z is out of range: cos z overflows") from None
     _emit(args, {"z": complex_pair(z), "value": complex_pair(val)},
           csv_header=["z_re", "z_im", "re", "im"],
           csv_rows=[[z.real, z.imag, val.real, val.imag]])
@@ -397,10 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    order, samples, tolerance = (getattr(args, flag, None)
-                                 for flag in ("order", "samples", "tolerance"))
+    order, seed, samples, tolerance = (getattr(args, flag, None)
+                                       for flag in ("order", "seed", "samples", "tolerance"))
     if order is not None and not 0 <= order <= MAX_ORDER:
         ap.error(f"--order must lie in [0, {MAX_ORDER}]")
+    if seed is not None and seed < 0:
+        ap.error("--seed must be a non-negative integer")
     if samples is not None and samples < 1:
         ap.error("--samples must be at least 1")
     if tolerance is not None and not tolerance >= 0:  # also rejects NaN

@@ -2,7 +2,8 @@
 
 Covers pointwise evaluation, the Maclaurin series, the real range on circles
 |z| = r, global bounds of the image domain, point membership for the image
-region (winding number over a sampled boundary polyline), and the primitive
+region (one exact test against the sampled boundary polygon, a star polygon
+about w = 1), and the primitive
 
     g(z) = integral_0^z (1 + t - cos t) / (t cos t) dt,
 
@@ -149,37 +150,34 @@ def sample_circle(radius: float, count: int) -> CircleSample:
                         values=_phi_values(radius * np.exp(1j * theta)))
 
 
-class ImageRegion:
-    """Membership tests against the sampled boundary curve phi(e^{i theta}).
+#: Vertices of the boundary polygon phi(e^{i theta}) behind ImageRegion.
+REGION_SAMPLES = 16384
 
-    The image domain is not convex, so membership is decided by the winding
-    number of the boundary polyline about the query point.  The domain *is*
-    starlike about w = 1 (verified at construction), which enables a radial
-    screen: queries comfortably inside or outside the radial envelope about 1
-    skip the winding computation.  ``contains_batch`` can count points near
-    the polyline as inside.
+
+class ImageRegion:
+    """Membership in phi(D), decided against the boundary polygon phi(e^{i theta}).
+
+    The image domain is not convex, but it is starlike about w = 1: along the
+    closed polygon, closing edge included, arg(b - 1) rises strictly and makes
+    one turn.  Construction checks this certificate and raises RuntimeError if
+    it fails.  A point w then lies in the polygon exactly when it is on the
+    inner side of the edge of the sector that holds arg(w - 1).
+    ``winding_number`` is the reference implementation the tests compare with.
     """
 
-    def __init__(self, samples: int = 4096):
-        if samples < 1024:
-            raise ValueError("need at least 1024 boundary samples")
-        theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
+    def __init__(self):
+        theta = np.linspace(-math.pi, math.pi, REGION_SAMPLES, endpoint=False)
         self.boundary = _phi_values(np.exp(1j * theta))
-        self.samples = samples
+        self._edges = np.roll(self.boundary, -1) - self.boundary
+        # Unwrapped arg(b - 1) at every vertex and again at the first one.
         rel = self.boundary - 1.0
-        psi = np.unwrap(np.angle(rel))
-        dpsi = np.diff(psi)
-        # Starlikeness about 1 makes arg(boundary - 1) strictly monotone.
-        self._starlike = bool((dpsi > 0).all()) and abs(psi[-1] + dpsi[-1] - psi[0] - 2 * math.pi) < 1e-6
-        self._psi0 = psi[0]
-        self._psi = psi
-        self._rad = np.abs(rel)
-        chord = np.abs(np.diff(np.concatenate([self.boundary, self.boundary[:1]])))
-        self._screen_margin = 2.0 * float(chord.max())
-
-    # -- exact winding test -------------------------------------------
+        self._psi = np.unwrap(np.angle(np.append(rel, rel[0])))
+        if not ((np.diff(self._psi) > 0).all()
+                and abs(self._psi[-1] - self._psi[0] - 2 * math.pi) < 1e-6):
+            raise RuntimeError("image boundary is not starlike about 1")
 
     def winding_number(self, w: complex) -> int:
+        """Winding number of the polygon about w: the reference for contains_batch."""
         rel = self.boundary - w
         ang = np.angle(rel)
         d = np.diff(np.concatenate([ang, ang[:1]]))
@@ -188,47 +186,24 @@ class ImageRegion:
 
     def distance_to_boundary(self, w: complex) -> float:
         b = self.boundary
-        e = np.concatenate([b[1:], b[:1]]) - b
+        e = self._edges
         t = np.clip(((np.conj(e) * (w - b)).real) / np.abs(e) ** 2, 0.0, 1.0)
         return float(np.abs(b + t * e - w).min())
 
-    # -- batched screen + fallback --------------------------------------
-
-    def _screen(self, ws: np.ndarray) -> np.ndarray:
-        """+1 certainly inside, -1 certainly outside, 0 undecided."""
-        rel = ws - 1.0
-        r = np.abs(rel)
-        psi = np.mod(np.angle(rel) - self._psi0, 2.0 * math.pi) + self._psi0
-        idx = np.searchsorted(self._psi, psi) - 1
-        idx = np.clip(idx, 0, self.samples - 1)
-        nxt = (idx + 1) % self.samples
-        env_lo = np.minimum(self._rad[idx], self._rad[nxt]) - self._screen_margin
-        env_hi = np.maximum(self._rad[idx], self._rad[nxt]) + self._screen_margin
-        out = np.zeros(ws.size, dtype=int)
-        out[r <= env_lo] = 1
-        out[r >= env_hi] = -1
-        return out
-
     def contains_batch(self, ws: np.ndarray, boundary_tol: float = 0.0) -> np.ndarray:
-        """Vectorized membership; points within boundary_tol of the polyline count.
-
-        Uses the radial screen when the starlikeness certificate holds and
-        falls back to the exact winding test for undecided points.
-        """
+        """Vectorized membership; outside points within boundary_tol of the
+        polygon count as inside."""
         ws = np.asarray(ws, dtype=np.complex128).ravel()
-        res = np.zeros(ws.size, dtype=bool)
-        if self._starlike:
-            s = self._screen(ws)
-        else:
-            s = np.zeros(ws.size, dtype=int)
-        res[s == 1] = True
-        for i in np.nonzero(s <= 0)[0]:
-            w = complex(ws[i])
-            if self.winding_number(w) == 1:
-                res[i] = True
-            elif boundary_tol > 0.0 and self.distance_to_boundary(w) <= boundary_tol:
-                res[i] = True
-        return res
+        # arg(w - 1) moved into [psi_0, psi_0 + 2 pi), the range the sectors cover.
+        psi0 = self._psi[0]
+        psi = psi0 + np.mod(np.angle(ws - 1.0) - psi0, 2.0 * math.pi)
+        i = np.clip(np.searchsorted(self._psi, psi, side="right") - 1,
+                    0, self.boundary.size - 1)
+        inside = (np.conj(self._edges[i]) * (ws - self.boundary[i])).imag > 0.0
+        if boundary_tol > 0.0:
+            for k in np.flatnonzero(~inside):
+                inside[k] = self.distance_to_boundary(complex(ws[k])) <= boundary_tol
+        return inside
 
 
 # -- the primitive g -----------------------------------------------------

@@ -6,7 +6,7 @@ failures.  Per-sample seeds are base_seed + index, so any single sample can
 be reproduced in isolation and the batch result is independent of execution
 order.
 
-Members are synthesized, measured and screened for containment in blocks of
+Members are synthesized, measured and checked for containment in blocks of
 ``BLOCK`` (128) members on the batched engine; the block size bounds the
 memory a search holds and does not change any result.
 """
@@ -28,13 +28,12 @@ __all__ = ["SearchConfig", "SearchSummary", "designated_measures", "run_search"]
 
 DEFAULT_SEED = 0xC0FFEE
 
-# The containment screen: w = z f'/f at CONTAINMENT_POINTS points of the
-# circle |z| = CONTAINMENT_RADIUS, tested against a boundary polyline of
-# REGION_SAMPLES points with BOUNDARY_TOL slack.
+# The containment check: w = z f'/f at CONTAINMENT_POINTS points of the
+# circle |z| = CONTAINMENT_RADIUS, each tested against the image region's
+# boundary polygon, with BOUNDARY_TOL slack for points outside it.
 CONTAINMENT_RADIUS = 0.95
 CONTAINMENT_POINTS = 64
 BOUNDARY_TOL = 1e-4
-REGION_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def run_search(config: SearchConfig = SearchConfig()) -> SearchSummary:
     measures = designated_measures()
     measures.extend(sample_measure(config.seed + i) for i in range(config.count))
 
-    region = ImageRegion(REGION_SAMPLES) if config.check_containment else None
+    region = ImageRegion() if config.check_containment else None
     for start in range(0, len(measures), BLOCK):
         weights, atoms = pack_measures(measures[start:start + BLOCK])
         summary.record(functional_columns(member_rows(weights, atoms, config.order)))

@@ -17,7 +17,7 @@ def extremal_16():
 
 @pytest.fixture(scope="session")
 def image_region():
-    return ss.ImageRegion(16384)
+    return ss.ImageRegion()
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from secstar.generator import ImageRegion, phi_series
 from secstar.series import (PowerSeries, compose_rows, div_rows, exp_rows,
                             lift_rows)
 from secstar.validation import (BLOCK, BOUNDARY_TOL, CONTAINMENT_POINTS,
-                                CONTAINMENT_RADIUS, REGION_SAMPLES, SearchConfig,
+                                CONTAINMENT_RADIUS, SearchConfig,
                                 designated_measures, run_search)
 
 TOL = 1e-14
@@ -149,7 +149,7 @@ def oracle_functionals(c):
 def oracle_search(config):
     measures = designated_measures()
     measures += [sample_measure(config.seed + i) for i in range(config.count)]
-    region = ImageRegion(REGION_SAMPLES) if config.check_containment else None
+    region = ImageRegion() if config.check_containment else None
     out = dict(samples=0, max_abs_a2=0.0, max_abs_a3=0.0, max_abs_a4=0.0,
                max_abs_a5=0.0, max_abs_h22=0.0, max_abs_h31=0.0,
                t21_min=math.inf, t21_max=-math.inf, t31_min=math.inf,

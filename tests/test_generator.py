@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from secstar import cli
+from secstar import cli, generator
 from secstar.generator import (CircleSample, ImageRegion, g_eval, g_series,
                                phi_eval, phi_global_bounds, phi_series,
                                radial_real_range, sample_circle)
@@ -123,8 +123,8 @@ def test_region_membership(image_region):
 
 
 def test_region_contains_function():
-    assert ImageRegion(2048).winding_number(1.0) == 1
-    assert ImageRegion(2048).winding_number(4.0) != 1
+    assert ImageRegion().winding_number(1.0) == 1
+    assert ImageRegion().winding_number(4.0) != 1
 
 
 def test_region_boundary_classification(image_region):
@@ -135,12 +135,32 @@ def test_region_boundary_classification(image_region):
         assert (image_region.winding_number(w) == 1) == inside
 
 
-def test_region_screen_agrees_with_winding(image_region):
+def test_region_membership_agrees_with_winding(image_region):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1, 4.2, 300) + 1j * rng.uniform(-2.0, 2.0, 300)
+    # Boundary points pushed in and out along the normal z phi'(z) of the
+    # curve phi(e^{i theta}), which runs counterclockwise.
+    z = np.exp(1j * rng.uniform(-math.pi, math.pi, 100))
+    normal = z * (np.cos(z) + (1 + z) * np.sin(z)) / np.cos(z) ** 2
+    normal /= np.abs(normal)
+    b = (1 + z) / np.cos(z)
+    pts = np.concatenate([pts] + [b + sign * eps * normal
+                                  for eps in (1e-3, 1e-6, 1e-9) for sign in (1, -1)])
     fast = image_region.contains_batch(pts)
     slow = np.array([image_region.winding_number(complex(p)) == 1 for p in pts])
     assert np.array_equal(fast, slow)
+
+
+def test_region_membership_does_not_depend_on_the_first_vertex(monkeypatch):
+    # Start the polygon at theta = 2 - pi instead of -pi, so arg(b - 1) no
+    # longer starts at -pi: every sector must still be found.
+    monkeypatch.setattr(generator, "_phi_values",
+                        lambda z: (1 + z * cmath.exp(2j)) / np.cos(z * cmath.exp(2j)))
+    region = ImageRegion()
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-1, 4.2, 300) + 1j * rng.uniform(-2.0, 2.0, 300)
+    slow = np.array([region.winding_number(complex(p)) == 1 for p in pts])
+    assert np.array_equal(region.contains_batch(pts), slow)
 
 
 def test_circle_sample_csv(capsys):
@@ -203,10 +223,15 @@ def test_g_series_derivative_identity():
     assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-12
 
 
-def test_g_series_matches_quadrature_inside_disk():
+def test_g_series_matches_gauss_legendre_inside_disk():
+    # 32-node Gauss-Legendre rule for the integral along [0, z]; the nodes
+    # never touch the removable singularity at t = 0.
+    x, w = np.polynomial.legendre.leggauss(32)
     s = g_series(40)
     for z in (0.5, -0.5, 0.3 + 0.4j):
-        assert abs(s.evaluate(z) - g_eval(z)) < 1e-9
+        t = z * (x + 1) / 2
+        quad = z / 2 * np.sum(w * (1 + t - np.cos(t)) / (t * np.cos(t)))
+        assert abs(s.evaluate(z) - quad) < 1e-9
 
 
 def test_g_eval_rejects_outside_disk():

@@ -324,14 +324,23 @@ def test_cli_negative_zero_round_trips(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["sample", "--order", "1"], "sample needs --order of at least 2"),
-    (["phi", "--z", "1e300j"], "math range error"),
+    (["phi", "--z", "1e300j"], "--z is out of range: cos z overflows"),
+    *[([command, "--seed", "-1"], "--seed must be a non-negative integer")
+      for command in ("sample", "functionals", "convolution-check", "search", "report")],
 ])
 def test_cli_rejects_out_of_range_values(capsys, argv, message):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+        parsed = True
+    except SystemExit as exc:  # rejected by the parser, after its usage text
+        code, parsed = exc.code, False
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    if parsed:
+        assert captured.err == f"error: {message}\n"
+    else:
+        assert captured.err.endswith(f"\nsecstar: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -423,6 +432,13 @@ def _radial_range_escape(monkeypatch):
     return ["phi"], "sampled Re phi escapes the radial range"
 
 
+def _boundary_winding_twice(monkeypatch):
+    # A boundary curve 1 + z^2 turns twice about 1: the region refuses it
+    # before the search prints anything.
+    monkeypatch.setattr(generator, "_phi_values", lambda z: 1.0 + z * z)
+    return ["search", "--samples", "8"], "image boundary is not starlike about 1"
+
+
 def _parabola_no_minima(monkeypatch):
     monkeypatch.setattr(subordination, "local_minima", lambda f, xs, tol=1e-12: [])
     return ["constants"], "no interior local minima found (bug)"
@@ -435,7 +451,8 @@ def _parabola_no_off_axis_minimum(monkeypatch):
 
 
 @pytest.mark.parametrize("guard", [_g_series_with_large_tail, _radial_range_escape,
-                                   _parabola_no_minima, _parabola_no_off_axis_minimum])
+                                   _boundary_winding_twice, _parabola_no_minima,
+                                   _parabola_no_off_axis_minimum])
 def test_cli_runtime_guards_exit_three(capsys, monkeypatch, guard):
     argv, message = guard(monkeypatch)
     code = cli.main(argv)
