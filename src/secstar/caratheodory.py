@@ -9,9 +9,11 @@ exponential-integral lift.
 
 Synthesis runs on batches: :func:`pack_measures` turns B measures into
 zero-padded ``(B, MAX_ATOMS)`` arrays of weights lambda_k and atoms x_k (a
-padding atom has weight 0 and x = 0, so it contributes nothing anywhere),
-and the ``*_rows`` functions map those to ``(B, ...)`` arrays.  The
-single-measure functions are batches of one.
+padding atom has weight 0 and x = 0, and trails the real ones), and the
+``*_rows`` functions map those to ``(B, ...)`` arrays.  The coefficient
+rows carry the padding atoms, whose terms are zero; the exact kernels skip
+them and evaluate each member over its real atoms only, with the same bits.
+The single-measure functions are batches of one.
 
 Also here: the classical parametrization of an admissible coefficient prefix
 (p1, p2, p3, p4) by a point (p, gamma, eta, rho), and the Hermitian-Toeplitz
@@ -20,7 +22,9 @@ positivity oracle that certifies such prefixes.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,6 +81,10 @@ class HerglotzMeasure:
         w = [a[0] for a in self.atoms]
         if not (min(w) >= 0.0 and abs(sum(w) - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
+        # A finite angle puts its atom x = e^{-i theta} on the circle, so
+        # x != 0 marks exactly the real atoms of a packed measure.
+        if not all(math.isfinite(a[1]) for a in self.atoms):
+            raise ValueError("angles must be finite")
 
     @property
     def weights(self) -> np.ndarray:
@@ -89,13 +97,22 @@ class HerglotzMeasure:
 
 def sample_measure(rng_seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure:
     """Seed-deterministic random measure: uniform atom count, uniform angles,
-    flat simplex weights."""
+    flat simplex weights.
+
+    The weights are Dirichlet(1, ..., 1), drawn as unit exponentials scaled
+    by the reciprocal of their sum.  That is how ``rng.dirichlet`` draws
+    them for alpha = 1, summing in order, so the draws are the same bits
+    as ``rng.dirichlet(np.ones(count))`` without its argument checks.
+    """
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
     rng = np.random.default_rng(rng_seed)
     count = int(rng.integers(1, max_atoms + 1))
     angles = rng.uniform(-math.pi, math.pi, count)
-    weights = rng.dirichlet(np.ones(count))
+    e = rng.standard_exponential(count)
+    # A left-to-right sum on every Python: the built-in sum() compensates
+    # its float sums from Python 3.12 on.
+    weights = e * (1.0 / functools.reduce(operator.add, e.tolist()))
     # Dirichlet can produce a weight a few ulp away from summing to 1.
     weights = weights / weights.sum()
     return HerglotzMeasure(atoms=tuple(zip(weights.tolist(), angles.tolist())),
@@ -150,12 +167,25 @@ def member_rows(weights: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _kernel_rows(weights: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(B, Z) exact kernel values sum_k lambda_k (1 + x_k z)/(1 - x_k z)."""
-    xz = x[:, :, None] * z[None, None, :]
-    kernel = 1.0 + xz
-    kernel /= 1.0 - xz
-    kernel *= weights[:, :, None]
-    return kernel.sum(axis=1)
+    """(B, Z) exact kernel values sum_k lambda_k (1 + x_k z)/(1 - x_k z).
+
+    Rows with the same atom count are evaluated together over their real
+    atoms only.  A padding atom's term is +0, and numpy adds a middle axis
+    in order, so the values are the padded sum's bits.  At a single point z
+    the atom axis is the contiguous one, which numpy adds pairwise; there
+    the padding changes the grouping, so every row keeps all its columns.
+    """
+    counts = (np.count_nonzero(x, axis=1) if z.size > 1
+              else np.full(x.shape[0], x.shape[1]))
+    out = np.empty((x.shape[0], z.size), dtype=np.complex128)
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        xz = x[rows, :k, None] * z
+        kernel = 1.0 + xz
+        kernel /= 1.0 - xz
+        kernel *= weights[rows, :k, None]
+        out[rows] = kernel.sum(axis=1)
+    return out
 
 
 def log_derivative_rows(weights: np.ndarray, x: np.ndarray, radius: float,

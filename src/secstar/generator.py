@@ -197,8 +197,12 @@ class ImageRegion:
         # arg(w - 1) moved into [psi_0, psi_0 + 2 pi), the range the sectors cover.
         psi0 = self._psi[0]
         psi = psi0 + np.mod(np.angle(ws - 1.0) - psi0, 2.0 * math.pi)
-        i = np.clip(np.searchsorted(self._psi, psi, side="right") - 1,
-                    0, self.boundary.size - 1)
+        # searchsorted runs faster on sorted keys, and a key's index does
+        # not depend on the order of the others.
+        order = np.argsort(psi)
+        i = np.empty(psi.size, dtype=np.intp)
+        i[order] = np.searchsorted(self._psi, psi[order], side="right")
+        i = np.clip(i - 1, 0, self.boundary.size - 1)
         inside = (np.conj(self._edges[i]) * (ws - self.boundary[i])).imag > 0.0
         if boundary_tol > 0.0:
             for k in np.flatnonzero(~inside):

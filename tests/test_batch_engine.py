@@ -5,7 +5,8 @@ before member synthesis was batched: long division, Horner composition with
 ``np.convolve``, the exponential recurrence with ``np.dot``, the functionals
 in Python complex arithmetic, and the search as a loop over members.  The
 batched engine reorders sums, so agreement is asserted to 1e-14; flag and
-containment counts must be identical.
+containment counts must be identical.  The exact kernels, which sum over
+real atoms only, are compared bit for bit with the padded sum they replaced.
 """
 
 import cmath
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 from secstar.caratheodory import (HerglotzMeasure, log_derivative_on_circle,
                                   log_derivative_rows, member_from_measure,
                                   member_rows, members_from_measures,
-                                  pack_measures, sample_measure)
+                                  p_eval_from_measure, pack_measures,
+                                  sample_measure)
 from secstar.functionals import (FS_MUS, SHARP_BOUNDS, compute_report,
                                  functional_columns)
 from secstar.generator import ImageRegion, phi_series
@@ -172,6 +174,23 @@ def oracle_search(config):
     return out
 
 
+def padded_kernel_rows(weights, x, z):
+    """The exact kernels summed over all MAX_ATOMS columns, padding atoms
+    included: the reference for the sum over real atoms only."""
+    xz = x[:, :, None] * z[None, None, :]
+    kernel = 1.0 + xz
+    kernel /= 1.0 - xz
+    kernel *= weights[:, :, None]
+    return kernel.sum(axis=1)
+
+
+def padded_log_derivative_rows(weights, x, radius, count):
+    z = radius * np.exp(1j * np.linspace(-math.pi, math.pi, count, endpoint=False))
+    p = padded_kernel_rows(weights, x, z)
+    omega = (p - 1.0) / (p + 1.0)
+    return (1.0 + omega) / np.cos(omega)
+
+
 # -- strategies ----------------------------------------------------------------
 
 
@@ -254,6 +273,51 @@ def test_batched_log_derivative_matches_serial_oracle(measures):
         want = oracle_log_derivative(m, 0.95, 64)
         assert np.abs(row - want).max() <= TOL * np.abs(want).max()
         assert np.array_equal(log_derivative_on_circle(m, 0.95, 64), row)
+
+
+def assert_log_derivative_is_padded_sum(measures, radius, count):
+    weights, x = pack_measures(measures)
+    w = log_derivative_rows(weights, x, radius, count)
+    assert w.tobytes() == padded_log_derivative_rows(weights, x, radius, count).tobytes()
+    for m, row in zip(measures, w):
+        assert log_derivative_on_circle(m, radius, count).tobytes() == row.tobytes()
+
+
+@given(measure_batches, st.sampled_from([(0.95, 64), (0.5, 7), (0.999, 2), (0.9, 1)]))
+@settings(max_examples=60)
+def test_log_derivative_over_real_atoms_is_the_padded_sum(measures, circle):
+    assert_log_derivative_is_padded_sum(measures, *circle)
+
+
+@pytest.mark.parametrize("atoms", range(1, 9))
+def test_log_derivative_of_one_atom_count_is_the_padded_sum(atoms):
+    measures = [measure_with_atoms(seed, atoms) for seed in range(40)]
+    for circle in ((0.95, 64), (0.3, 3), (0.9, 1)):
+        assert_log_derivative_is_padded_sum(measures, *circle)
+
+
+def test_designated_log_derivative_is_the_padded_sum():
+    measures = designated_measures()
+    assert_log_derivative_is_padded_sum(measures, CONTAINMENT_RADIUS, CONTAINMENT_POINTS)
+    # A search block: the designated measures ahead of sampled ones.
+    measures += [sample_measure(i) for i in range(BLOCK - 4)]
+    assert_log_derivative_is_padded_sum(measures, CONTAINMENT_RADIUS, CONTAINMENT_POINTS)
+
+
+def test_kernel_evaluation_is_the_padded_sum():
+    rng = np.random.default_rng(5)
+    grid = 0.99 * np.sqrt(rng.uniform(0, 1, (9, 11))) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, (9, 11)))
+    zs = [0.3 + 0.2j, np.array([-0.7j]), np.array([0.5, -0.25 + 0.5j]), grid]
+    measures = designated_measures() + [measure_with_atoms(seed, seed % 8 + 1)
+                                        for seed in range(40)]
+    for m in measures:
+        packed = pack_measures([m])
+        for z in zs:
+            want = padded_kernel_rows(*packed, np.ravel(z))[0].reshape(np.shape(z))
+            got = p_eval_from_measure(m, z)
+            assert got.shape == np.shape(z)
+            assert got.tobytes() == want.tobytes()
 
 
 @given(measure_batches, st.sampled_from(ORDERS))

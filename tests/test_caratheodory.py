@@ -67,6 +67,13 @@ def test_measure_rejects_a_negative_or_nan_weight():
             HerglotzMeasure(atoms=atoms)
 
 
+def test_measure_rejects_a_non_finite_angle():
+    for bad in (math.nan, math.inf, -math.inf):
+        for atoms in (((1.0, bad),), ((0.5, 0.0), (0.5, bad))):
+            with pytest.raises(ValueError, match="angles must be finite"):
+                HerglotzMeasure(atoms=atoms)
+
+
 def test_measure_weight_sum_tolerance_is_1e_12():
     HerglotzMeasure(atoms=((0.5 + 0.9e-12, 0.0), (0.5, 1.0)))
     HerglotzMeasure(atoms=((0.5 - 0.9e-12, 0.0), (0.5, 1.0)))
@@ -86,6 +93,28 @@ def test_sample_measure_forced_single_atom():
     m = sample_measure(0, max_atoms=1)
     assert len(m.atoms) == 1
     assert abs(m.atoms[0][0] - 1.0) < 1e-15
+
+
+def dirichlet_measure(rng_seed, max_atoms=8):
+    """sample_measure with its weights from rng.dirichlet: the reference for
+    the scaled exponential draw."""
+    rng = np.random.default_rng(rng_seed)
+    count = int(rng.integers(1, max_atoms + 1))
+    angles = rng.uniform(-math.pi, math.pi, count)
+    weights = rng.dirichlet(np.ones(count))
+    weights = weights / weights.sum()
+    return HerglotzMeasure(atoms=tuple(zip(weights.tolist(), angles.tolist())),
+                           seed=rng_seed)
+
+
+@given(st.integers(0, 2**63 - 1))
+@settings(max_examples=300)
+def test_sample_measure_is_the_dirichlet_draw(seed):
+    # Every max_atoms: one draw in eight at max_atoms = 8 has 8 atoms, where
+    # np.sum adds pairwise rather than in the running order of rng.dirichlet.
+    for max_atoms in range(1, 9):
+        assert (repr(sample_measure(seed, max_atoms))
+                == repr(dirichlet_measure(seed, max_atoms))), max_atoms
 
 
 @given(st.integers(0, 2**63 - 1))

@@ -135,17 +135,21 @@ def test_region_boundary_classification(image_region):
         assert (image_region.winding_number(w) == 1) == inside
 
 
-def test_region_membership_agrees_with_winding(image_region):
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-1, 4.2, 300) + 1j * rng.uniform(-2.0, 2.0, 300)
-    # Boundary points pushed in and out along the normal z phi'(z) of the
-    # curve phi(e^{i theta}), which runs counterclockwise.
-    z = np.exp(1j * rng.uniform(-math.pi, math.pi, 100))
+def boundary_pushes(rng, count):
+    """Boundary points phi(e^{i theta}) pushed in and out by 1e-3, 1e-6 and
+    1e-9 along the normal z phi'(z) of the curve, which runs counterclockwise."""
+    z = np.exp(1j * rng.uniform(-math.pi, math.pi, count))
     normal = z * (np.cos(z) + (1 + z) * np.sin(z)) / np.cos(z) ** 2
     normal /= np.abs(normal)
     b = (1 + z) / np.cos(z)
-    pts = np.concatenate([pts] + [b + sign * eps * normal
-                                  for eps in (1e-3, 1e-6, 1e-9) for sign in (1, -1)])
+    return np.concatenate([b + sign * eps * normal
+                           for eps in (1e-3, 1e-6, 1e-9) for sign in (1, -1)])
+
+
+def test_region_membership_agrees_with_winding(image_region):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1, 4.2, 300) + 1j * rng.uniform(-2.0, 2.0, 300)
+    pts = np.concatenate([pts, boundary_pushes(rng, 100)])
     fast = image_region.contains_batch(pts)
     slow = np.array([image_region.winding_number(complex(p)) == 1 for p in pts])
     assert np.array_equal(fast, slow)
@@ -161,6 +165,52 @@ def test_region_membership_does_not_depend_on_the_first_vertex(monkeypatch):
     pts = rng.uniform(-1, 4.2, 300) + 1j * rng.uniform(-2.0, 2.0, 300)
     slow = np.array([region.winding_number(complex(p)) == 1 for p in pts])
     assert np.array_equal(region.contains_batch(pts), slow)
+
+
+def plain_lookup_contains(region, ws, boundary_tol=0.0):
+    """contains_batch with searchsorted on the queries in their given order:
+    the reference for the sorted lookup."""
+    ws = np.asarray(ws, dtype=np.complex128).ravel()
+    psi0 = region._psi[0]
+    psi = psi0 + np.mod(np.angle(ws - 1.0) - psi0, 2.0 * math.pi)
+    i = np.clip(np.searchsorted(region._psi, psi, side="right") - 1,
+                0, region.boundary.size - 1)
+    inside = (np.conj(region._edges[i]) * (ws - region.boundary[i])).imag > 0.0
+    if boundary_tol > 0.0:
+        for k in np.flatnonzero(~inside):
+            inside[k] = region.distance_to_boundary(complex(ws[k])) <= boundary_tol
+    return inside
+
+
+def test_sorted_sector_lookup_matches_plain_lookup(image_region):
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(-1, 4.2, 50_000) + 1j * rng.uniform(-2.0, 2.0, 50_000)
+    got = image_region.contains_batch(pts)
+    assert got.tobytes() == plain_lookup_contains(image_region, pts).tobytes()
+    # Both verdicts occur, so an index left in sorted order would show.
+    assert 0 < got.sum() < got.size
+    # The polygon's own vertices, where each key is one of the sorted angles,
+    # and boundary points pushed in and out.
+    cases = [(image_region.boundary, 0.0)]
+    cases += [(boundary_pushes(rng, 200), tol) for tol in (0.0, 1e-4)]
+    for pts, tol in cases:
+        assert (image_region.contains_batch(pts, boundary_tol=tol).tobytes()
+                == plain_lookup_contains(image_region, pts, tol).tobytes())
+
+
+def test_non_finite_points_are_outside(image_region):
+    bad = [math.inf, -math.inf, math.nan]
+    pts = np.array([complex(a, b) for a in bad + [0.5, 2.0] for b in bad + [0.0]]
+                   + [1.0, 2.0 + 0.5j])
+    finite = np.isfinite(pts)
+    # The edge test's complex product meets inf - inf or 0 * inf there, which
+    # numpy flags as invalid; those points must still come out outside.
+    with np.errstate(invalid="ignore"):
+        for tol in (0.0, 1e-4):
+            got = image_region.contains_batch(pts, boundary_tol=tol)
+            assert got.tobytes() == plain_lookup_contains(image_region, pts, tol).tobytes()
+            assert not got[~finite].any()
+            assert got[-2:].all()
 
 
 def test_circle_sample_csv(capsys):
