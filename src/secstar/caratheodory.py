@@ -214,8 +214,12 @@ def p_eval_from_measure(m: HerglotzMeasure, z) -> np.ndarray:
 
     Unlike the truncated series this is positive-real-part for every |z| < 1,
     which matters near the boundary where truncation tails dominate.
+    Raises ValueError unless every z is finite with |z| < 1.
     """
     z = np.asarray(z, dtype=np.complex128)
+    # NaN fails the comparison, and an infinite z has |z| = inf.
+    if not (np.abs(z) < 1.0).all():
+        raise ValueError("p_eval_from_measure needs finite z with |z| < 1")
     return _kernel_rows(*pack_measures([m]), z.ravel())[0].reshape(z.shape)
 
 

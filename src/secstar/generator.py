@@ -192,8 +192,14 @@ class ImageRegion:
 
     def contains_batch(self, ws: np.ndarray, boundary_tol: float = 0.0) -> np.ndarray:
         """Vectorized membership; outside points within boundary_tol of the
-        polygon count as inside."""
+        polygon count as inside.  Non-finite points are outside."""
         ws = np.asarray(ws, dtype=np.complex128).ravel()
+        finite = np.isfinite(ws)
+        if not finite.all():
+            # Kept out of the edge test, where inf meets inf - inf or 0 * inf.
+            inside = np.zeros(ws.size, dtype=bool)
+            inside[finite] = self.contains_batch(ws[finite], boundary_tol)
+            return inside
         # arg(w - 1) moved into [psi_0, psi_0 + 2 pi), the range the sectors cover.
         psi0 = self._psi[0]
         psi = psi0 + np.mod(np.angle(ws - 1.0) - psi0, 2.0 * math.pi)
@@ -236,8 +242,17 @@ def g_eval(z: complex) -> complex:
     z = complex(z)
     if abs(z) > 1.0 + 1e-12:
         raise ValueError("g_eval is specified on the closed unit disk")
-    s = g_series(G_ORDER)
-    full = s.evaluate(z)
-    if abs(full - s.truncate(G_ORDER - 16).evaluate(z)) >= 1e-10:
+    # One Horner pass over two columns: the series and its truncation at
+    # G_ORDER - 16, whose leading zeros keep it at +0 until its own top
+    # coefficient.  Each column gets the bits of its own np.polyval.
+    c = g_series(G_ORDER).coeffs
+    pairs = np.zeros((G_ORDER + 1, 2), dtype=np.complex128)
+    pairs[:, 0] = c[::-1]
+    pairs[16:, 1] = c[G_ORDER - 16::-1]
+    y = np.zeros(2, dtype=np.complex128)
+    for pv in pairs:
+        y = y * z + pv
+    full, truncated = complex(y[0]), complex(y[1])
+    if abs(full - truncated) >= 1e-10:
         raise RuntimeError("series tail of g exceeds 1e-10")
     return full

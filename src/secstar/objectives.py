@@ -177,6 +177,37 @@ def _clip(v, bounds) -> list[float]:
     return [lo if a <= lo else hi if a >= hi else a for a, (lo, hi) in zip(v, bounds)]
 
 
+#: Nodes per block of the grid scan; a block is whole slices along axis 0,
+#: at least one.
+BLOCK_NODES = 1 << 16
+
+
+def _grid_top(fn, axes, shape, k) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and values of the k best grid nodes, as ``top_k`` of the
+    whole grid orders them, computed a block at a time.
+
+    Each block's ``top_k`` holds every node of the whole grid's that falls
+    in it, so ``top_k`` over the blocks' candidates picks the same nodes.
+    Blocks come in node order and ``top_k`` keeps tied nodes in node order,
+    so tied candidates stay in node order and the first occurrence wins.
+    """
+    # Sparse axes: each term is computed on the axes it depends on, then
+    # broadcast; every node still sees the same IEEE operations in order.
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    stride = math.prod(shape[1:])
+    rows = max(1, BLOCK_NODES // stride)
+    found, values = [], []
+    for lo in range(0, shape[0], rows):
+        block = (min(rows, shape[0] - lo),) + shape[1:]
+        flat = np.broadcast_to(fn([mesh[0][lo:lo + rows], *mesh[1:]]), block).ravel()
+        best = top_k(flat, min(k, flat.size))
+        found.append(best + lo * stride)
+        values.append(flat[best])
+    found, values = np.concatenate(found), np.concatenate(values)
+    best = top_k(values, k)
+    return found[best], values[best]
+
+
 def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
                  refine_starts: int = 10) -> tuple[tuple[float, ...], float]:
     """Dense grid scan plus Nelder-Mead refinement, clipped to the box.
@@ -184,7 +215,9 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
     Returns (argmax, value).  Deterministic: the grid argmax takes the
     lexicographically smallest point on ties (C-order first occurrence), and
     refinement starts from the ``refine_starts`` best cells.  The refinement
-    is ``scan.nelder_mead``, a port of scipy's Nelder-Mead.
+    is ``scan.nelder_mead``, a port of scipy's Nelder-Mead.  The grid is
+    scanned in blocks of about ``BLOCK_NODES`` nodes, so its size bounds the
+    time but not the memory.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -199,17 +232,13 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
     if min(shape) < 51:
         raise ValueError("grid must have at least 51 nodes per axis")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
-    # Sparse axes: each term is computed on the axes it depends on, then
-    # broadcast; every node still sees the same IEEE operations in order.
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    flat = np.broadcast_to(fn(mesh), shape).ravel()
+    starts, start_vals = _grid_top(fn, axes, shape, min(refine_starts, math.prod(shape)))
 
     best_point = None
     best_val = -math.inf
-    for k in top_k(flat, min(refine_starts, flat.size)):
-        idx = np.unravel_index(int(k), shape)
+    for k, node_val in zip(starts.tolist(), start_vals.tolist()):
+        idx = np.unravel_index(k, shape)
         x0 = [float(axes[d][idx[d]]) for d in range(dim)]
-        node_val = float(flat[k])
         if node_val > best_val:
             best_val, best_point = node_val, tuple(x0)
         res = minimize(lambda v: -fn(_clip(v, bounds)), x0,

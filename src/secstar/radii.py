@@ -42,23 +42,24 @@ class RootResult:
 
 
 def _bisect_newton(fn: Callable[[float], float]) -> RootResult:
-    """Smallest root of fn in [0, 1]: scan for a sign change, bisect, polish."""
-    xs = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
-    vals = np.array([fn(x) for x in xs.tolist()])
-    if abs(vals[0]) < 1e-15:
-        return RootResult(r=0.0, residual=abs(float(vals[0])), bracket=(0.0, 0.0),
-                          iterations=0)
-    sign_change = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    if sign_change.size == 0:
-        if abs(vals[-1]) < 1e-15:
-            return RootResult(r=1.0, residual=abs(float(vals[-1])),
-                              bracket=(1.0, 1.0), iterations=0)
-        raise ValueError(
-            f"no sign change in [0, 1]: f(0) = {vals[0]:.6g}, f(1) = {vals[-1]:.6g}"
-        )
-    i = int(sign_change[0])
-    a, b = float(xs[i]), float(xs[i + 1])
-    fa, fb = float(vals[i]), float(vals[i + 1])
+    """Smallest root of fn in [0, 1]: scan for a sign change, bisect, polish.
+
+    The scan stops at the first cell whose end values differ in sign bit.
+    """
+    xs = np.linspace(0.0, 1.0, SCAN_CELLS + 1).tolist()
+    f0 = fn(xs[0])
+    if abs(f0) < 1e-15:
+        return RootResult(r=0.0, residual=abs(f0), bracket=(0.0, 0.0), iterations=0)
+    a, fa = xs[0], f0
+    for b in xs[1:]:
+        fb = fn(b)
+        if math.copysign(1.0, fa) != math.copysign(1.0, fb):
+            break
+        a, fa = b, fb
+    else:
+        if abs(fa) < 1e-15:
+            return RootResult(r=1.0, residual=abs(fa), bracket=(1.0, 1.0), iterations=0)
+        raise ValueError(f"no sign change in [0, 1]: f(0) = {f0:.6g}, f(1) = {fa:.6g}")
     bracket = (a, b)
     iters = 0
     for _ in range(80):

@@ -74,6 +74,22 @@ def test_measure_rejects_a_non_finite_angle():
                 HerglotzMeasure(atoms=atoms)
 
 
+@pytest.mark.parametrize("z", [1.0, 2.0, -1.0, 1j, complex(0.6, 0.8), math.nan,
+                               complex(math.inf, 0.0), complex(0.0, math.nan),
+                               np.array([0.1, 1.0]), np.array([[0.5j], [math.inf]])])
+def test_kernel_evaluation_rejects_z_off_the_open_disk(z):
+    # At z = 1 a single atom at 0 used to give NaN, and at z = 2 the value -3.
+    with pytest.raises(ValueError, match=r"\|z\| < 1"):
+        p_eval_from_measure(measure_single_atom(0.0), z)
+
+
+def test_kernel_evaluation_inside_the_disk():
+    m = measure_single_atom(0.0)
+    assert p_eval_from_measure(m, 0.5) == 3.0
+    assert p_eval_from_measure(m, np.array([0.0, -0.5])).tolist() == [1.0, 1.0 / 3.0]
+    assert p_eval_from_measure(m, np.zeros((0,))).shape == (0,)
+
+
 def test_measure_weight_sum_tolerance_is_1e_12():
     HerglotzMeasure(atoms=((0.5 + 0.9e-12, 0.0), (0.5, 1.0)))
     HerglotzMeasure(atoms=((0.5 - 0.9e-12, 0.0), (0.5, 1.0)))

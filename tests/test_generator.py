@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from secstar import cli, generator
-from secstar.generator import (CircleSample, ImageRegion, g_eval, g_series,
+from secstar.generator import (G_ORDER, CircleSample, ImageRegion, g_eval, g_series,
                                phi_eval, phi_global_bounds, phi_series,
                                radial_real_range, sample_circle)
 from secstar.series import PowerSeries, elementary
@@ -203,14 +204,15 @@ def test_non_finite_points_are_outside(image_region):
     pts = np.array([complex(a, b) for a in bad + [0.5, 2.0] for b in bad + [0.0]]
                    + [1.0, 2.0 + 0.5j])
     finite = np.isfinite(pts)
-    # The edge test's complex product meets inf - inf or 0 * inf there, which
-    # numpy flags as invalid; those points must still come out outside.
-    with np.errstate(invalid="ignore"):
-        for tol in (0.0, 1e-4):
-            got = image_region.contains_batch(pts, boundary_tol=tol)
-            assert got.tobytes() == plain_lookup_contains(image_region, pts, tol).tobytes()
-            assert not got[~finite].any()
-            assert got[-2:].all()
+    # They never reach the edge test, so no RuntimeWarning is raised (the
+    # suite turns one into an error).  The plain lookup does reach it.
+    for tol in (0.0, 1e-4):
+        got = image_region.contains_batch(pts, boundary_tol=tol)
+        with np.errstate(invalid="ignore"):
+            want = plain_lookup_contains(image_region, pts, tol)
+        assert got.tobytes() == want.tobytes()
+        assert not got[~finite].any()
+        assert got[-2:].all()
 
 
 def test_circle_sample_csv(capsys):
@@ -258,6 +260,53 @@ def test_im_g_at_i_closed_form():
 ])
 def test_g_eval_within_two_ulp(z, part, reference):
     assert abs(getattr(g_eval(z), part) - reference) <= 2 * math.ulp(reference)
+
+
+def two_evaluations_g(z):
+    """g_eval as two PowerSeries.evaluate calls, the series and its
+    truncation: the reference for the two-column Horner pass."""
+    s = generator.g_series(G_ORDER)
+    full = s.evaluate(complex(z))
+    if abs(full - s.truncate(G_ORDER - 16).evaluate(complex(z))) >= 1e-10:
+        raise RuntimeError("series tail of g exceeds 1e-10")
+    return full
+
+
+def test_g_eval_is_two_series_evaluations():
+    rng = np.random.default_rng(14)
+    zs = [0.0, -0.0, 1.0, -1.0, 1j, -1j, complex(-0.0, -0.0), complex(0.0, -0.0),
+          1.0 + 1e-12, 5e-324, -1e-300j]
+    zs += (np.sqrt(rng.uniform(0, 1, 1000)) * np.exp(1j * rng.uniform(-4, 4, 1000))).tolist()
+    zs += rng.uniform(-1, 1, 200).tolist()
+    for z in zs:
+        assert repr(g_eval(z)) == repr(two_evaluations_g(z))
+
+
+@given(z=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
+def test_g_eval_is_two_series_evaluations_anywhere_in_the_disk(z):
+    assert repr(g_eval(z)) == repr(two_evaluations_g(z))
+
+
+@given(scale=st.floats(1e3, 1e5), radius=st.floats(0.9, 1.0),
+       theta=st.floats(-math.pi, math.pi))
+def test_g_eval_tail_guard_decides_like_two_evaluations(scale, radius, theta):
+    # A tail scaled up by 1e3-1e5 puts |full - truncation| on both sides of
+    # 1e-10, so the guard's verdict rests on the bits of both columns.
+    c = g_series(G_ORDER).coeffs.copy()
+    c[G_ORDER - 15:] *= scale
+    z = radius * cmath.exp(1j * theta)
+    outcomes = []
+    original = generator.g_series
+    try:
+        generator.g_series = lambda order: PowerSeries(c)
+        for evaluate in (g_eval, two_evaluations_g):
+            try:
+                outcomes.append(repr(evaluate(z)))
+            except RuntimeError as exc:
+                outcomes.append(str(exc))
+    finally:
+        generator.g_series = original
+    assert outcomes[0] == outcomes[1]
 
 
 def test_g_series_first_coefficients():

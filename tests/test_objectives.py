@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from secstar.objectives import (OBJECTIVES, BoxPoint, edge_k1, edge_k4, edge_k6,
                                 h2_reduced_polynomial, h3_bound_surface,
                                 maximize_box)
 from secstar.caratheodory import coefficients_from_prefix
-from secstar.scan import nelder_mead, top_k
+from secstar.scan import NelderMeadResult, nelder_mead, top_k
 
 K1_MAX = (7 * math.sqrt(21) - 27) / 300
 K6_MAX = 1 / (12 * math.sqrt(3))
@@ -126,7 +127,11 @@ def test_maximize_result_dominates_grid():
 
 
 def box_grid_values(monkeypatch, name, grid):
-    """The flat grid values ``maximize_box`` ranks, as it computed them."""
+    """The flat grid values ``maximize_box`` ranks, as it computed them.
+
+    ``top_k`` sees the grid one block at a time, in node order, and then the
+    blocks' candidates; the blocks are gathered here.
+    """
     seen = []
 
     def recording_top_k(values, k):
@@ -135,7 +140,7 @@ def box_grid_values(monkeypatch, name, grid):
 
     monkeypatch.setattr(objectives, "top_k", recording_top_k)
     maximize_box(name, grid=grid, refine_starts=1)
-    return seen[0]
+    return np.concatenate(seen[:-1])
 
 
 def dense_grid(bounds, grid):
@@ -179,6 +184,95 @@ def test_grid_values_fill_axes_the_objective_ignores(monkeypatch):
     monkeypatch.setitem(OBJECTIVES, "k4_of_y", (lambda v: edge_k4(v[1]), bounds))
     dense = edge_k4(dense_grid(bounds, 60)[1]).ravel()
     assert np.array_equal(box_grid_values(monkeypatch, "k4_of_y", 60), dense)
+
+
+def whole_grid_maximize_box(name, grid=None, refine_starts=10):
+    """maximize_box with its grid scanned in one piece: the reference for the
+    block-wise scan."""
+    fn, bounds = OBJECTIVES[name]
+    dim = len(bounds)
+    shape = (objectives._default_grid(dim) if grid is None
+             else (grid,) * dim if isinstance(grid, int) else tuple(grid))
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    flat = np.broadcast_to(fn(mesh), shape).ravel()
+    best_point, best_val = None, -math.inf
+    for k in top_k(flat, min(refine_starts, flat.size)):
+        idx = np.unravel_index(int(k), shape)
+        x0 = [float(axes[d][idx[d]]) for d in range(dim)]
+        node_val = float(flat[k])
+        if node_val > best_val:
+            best_val, best_point = node_val, tuple(x0)
+        res = objectives.minimize(lambda v: -fn(objectives._clip(v, bounds)), x0,
+                                  xatol=1e-12, fatol=1e-14, maxiter=2000)
+        cand = objectives._clip(res.x.tolist(), bounds)
+        val = float(fn(cand))
+        if val > best_val:
+            best_val, best_point = val, tuple(cand)
+    return best_point, best_val
+
+
+@pytest.mark.parametrize("grid", [None, 60])
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+def test_block_scan_equals_whole_grid(name, grid):
+    # The default g_h3 grid is 34 blocks, the last of 3 of the 201 slices;
+    # at 60 it is 4 blocks, the last of 6 slices.
+    assert repr(maximize_box(name, grid)) == repr(whole_grid_maximize_box(name, grid))
+
+
+@pytest.mark.parametrize("name,grid,block_nodes", [
+    ("g_h3", (55, 52, 51), 3 * 52 * 51),     # 19 blocks, the last of 1 slice
+    ("g_h3", (51, 51, 51), 1),               # a block is at least one slice
+    ("g_h2", (80, 51), 7 * 51),              # two-dimensional grids split too
+    ("h4", 60, 1000),
+    ("k1", 2001, 300),                       # and one-dimensional ones
+    ("k6", 51, 50),
+])
+def test_block_scan_equals_whole_grid_on_any_blocking(monkeypatch, name, grid, block_nodes):
+    monkeypatch.setattr(objectives, "BLOCK_NODES", block_nodes)
+    assert repr(maximize_box(name, grid)) == repr(whole_grid_maximize_box(name, grid))
+
+
+def recorded_starts(monkeypatch, run):
+    """The starting points ``run`` hands to Nelder-Mead, each refined to
+    itself so that thousands of starts stay cheap."""
+    starts = []
+
+    def stay(fun, x0, **options):
+        starts.append(list(x0))
+        return NelderMeadResult(x=np.array(x0), fun=float(fun(x0)), nfev=1, nit=0)
+
+    monkeypatch.setattr(objectives, "minimize", stay)
+    result = run()
+    return starts, result
+
+
+@pytest.mark.parametrize("name,grid,refine_starts,block_nodes", [
+    ("g_h3", 51, 1000, objectives.BLOCK_NODES),
+    ("g_h3", 51, 3000, 51 * 51),      # more starts than a block has nodes
+    ("k4_of_y", 60, 150, 60),         # the same values in every block: ties across blocks
+])
+def test_starts_larger_than_a_block_equal_whole_grid(monkeypatch, name, grid, refine_starts,
+                                                     block_nodes):
+    monkeypatch.setitem(OBJECTIVES, "k4_of_y", (lambda v: edge_k4(v[1]),
+                                                ((0.0, 2.0), (0.0, 1.0))))
+    monkeypatch.setattr(objectives, "BLOCK_NODES", block_nodes)
+    got = recorded_starts(monkeypatch, lambda: maximize_box(name, grid, refine_starts))
+    want = recorded_starts(monkeypatch,
+                           lambda: whole_grid_maximize_box(name, grid, refine_starts))
+    assert len(got[0]) == refine_starts
+    assert repr(got) == repr(want)
+
+
+def test_block_scan_memory_is_bounded():
+    # The whole 201 x 101 x 101 grid took about 63 MB of temporaries.
+    tracemalloc.start()
+    try:
+        maximize_box("g_h3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_maximize_rejects_unknown_or_coarse():

@@ -158,6 +158,37 @@ def test_scan_on_floats_matches_float64_node_oracle(monkeypatch):
     assert [repr(res) for res in got] == [repr(res) for res in want]
 
 
+@pytest.mark.parametrize("fn", [
+    lambda r: r,                                    # f(0) = 0: radius 0
+    lambda r: 5e-16 - r,                            # |f(0)| below 1e-15
+    lambda r: (1.0 - r) ** 2,                       # no sign change, f(1) = 0
+    lambda r: r - 1.0,                              # root at the last node
+    lambda r: 0.375 - r,                            # root at a node
+    lambda r: 1e-4 - r,                             # root in the first cell
+    lambda r: -0.0 if r > 0.5 else 1.0,             # -0.0 has the sign bit
+    lambda r: math.cos(7.0 * r) - 0.2,              # several sign changes
+])
+def test_bisect_newton_equals_float64_node_oracle(fn):
+    assert repr(radii._bisect_newton(fn)) == repr(float64_node_bisect_newton(fn))
+
+
+@pytest.mark.parametrize("fn", [lambda r: 1.0 + r, lambda r: -0.5, lambda r: r - 2.0])
+def test_bisect_newton_without_sign_change_raises_like_the_oracle(fn):
+    with pytest.raises(ValueError, match="no sign change"):
+        float64_node_bisect_newton(fn)
+    with pytest.raises(ValueError, match=r"no sign change in \[0, 1\]: f\(0\) = "):
+        radii._bisect_newton(fn)
+
+
+def test_scan_stops_at_the_first_sign_change():
+    # Nodes past the bracketing cell are never evaluated.
+    def fn(r):
+        if r > 0.3 + 1.0 / radii.SCAN_CELLS:
+            raise AssertionError(f"scanned past the root to {r}")
+        return 0.3 - r
+    assert repr(radii._bisect_newton(fn)) == repr(float64_node_bisect_newton(lambda r: 0.3 - r))
+
+
 def test_starlike_radius_decreasing_in_alpha():
     rs = [solve_radius("starlike_order", a).r for a in np.linspace(0, 0.95, 11)]
     assert all(b < a for a, b in zip(rs, rs[1:]))
