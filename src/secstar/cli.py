@@ -18,9 +18,8 @@ import cmath
 import sys
 from dataclasses import asdict
 
-# The only handler module the parser reads (the --objective choices); each
-# handler imports the rest, so a process loads what its subcommand runs.
-from . import objectives
+# Each handler imports its own modules, so a process loads what its
+# subcommand runs.
 from .serialize import canonical_json, complex_pair, csv_lines
 
 EXIT_OK = 0
@@ -52,6 +51,14 @@ def _member_count(flag: str, count: int) -> int:
     if count > MAX_COUNT:
         raise ValueError(f"{flag} must be at most {MAX_COUNT}")
     return count
+
+
+def _objective(name: str) -> str:
+    from . import objectives
+    if name not in objectives.OBJECTIVES:
+        choices = ", ".join(map(repr, sorted(objectives.OBJECTIVES)))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
+    return name
 
 
 def _point(text: str) -> complex:
@@ -199,6 +206,7 @@ def _cmd_functionals(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from . import objectives
     argmax, value = objectives.maximize_box(args.objective, grid=args.grid)
     payload = {"objective": args.objective, "argmax": list(argmax),
                "value": value, "grid": args.grid or "default", "refined": True}
@@ -370,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "optimize", _cmd_optimize, "maximize a named bound surface",
                     ["csv"])
-    p.add_argument("--objective", required=True,
-                   choices=sorted(objectives.OBJECTIVES))
+    p.add_argument("--objective", required=True, type=_objective,
+                   help="bound surface to maximize; an unknown name lists them all")
     p.add_argument("--grid", type=int, default=None)
 
     p = _subcommand(sub, "radius", _cmd_radius, "solve a radius problem",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import G_ORDER, g_eval, g_series, phi_series
-from .scan import golden_max_lookahead
+from .scan import refine_max
 from .series import PowerSeries
 
 __all__ = [
@@ -111,19 +111,6 @@ def rotation_bound(r: float, samples: int = 1024) -> float:
         raise ValueError("need at least 256 samples")
     if r == 0.0:
         return 0.0
-    s = g_series(G_ORDER)
-
-    def obj(ts: list[float]) -> list[float]:
-        # One Horner pass for the points of several golden-section steps:
-        # np.polyval gives each element the bits of a 0-d call.
-        z = np.array([r * cmath.exp(1j * t) for t in ts])
-        return np.abs(s.evaluate(z).imag).tolist()
-
     theta = np.linspace(0.0, math.pi, samples)
-    values = np.abs(s.evaluate(r * np.exp(1j * theta)).imag)
-    # refine_max's bracket and verdict, with the golden section batched.
-    i = int(np.argmax(values))
-    _, best = golden_max_lookahead(obj, theta[max(i - 1, 0)], theta[min(i + 1, samples - 1)])
-    if values[i] > best:
-        return float(values[i])
-    return best
+    values = np.abs(g_series(G_ORDER).evaluate(r * np.exp(1j * theta)).imag)
+    return refine_max(lambda t: abs(g_eval(r * cmath.exp(1j * t)).imag), theta, values)[1]

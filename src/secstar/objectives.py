@@ -229,6 +229,8 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
         shape = (grid,) * dim
     else:
         shape = tuple(grid)
+        if len(shape) != dim:
+            raise ValueError(f"grid must give one node count per axis, {dim} for {objective!r}")
     if min(shape) < 51:
         raise ValueError("grid must have at least 51 nodes per axis")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]

@@ -61,52 +61,24 @@ def _entry(name: str, computed: float) -> DiscrepancyEntry:
                             expected_status=expected, note=note)
 
 
-def _schur_points(count: int, seed: int) -> tuple[np.ndarray, ...]:
-    """Arrays (p, gamma, eta, rho) of ``count`` random points.
-
-    The points of the scalar draw: per point ``p = 2 rng.random()``, then
-    gamma, eta and rho in turn, each the first ``complex(rng.uniform(-1, 1),
-    rng.uniform(-1, 1))`` with modulus at most 1.  The stream is drawn in
-    ``rng.random`` blocks (``uniform(-1, 1)`` is ``-1 + 2u`` bit for bit) and
-    the rejection sequence is replayed on indices into it.
-    """
+def _schur_draw(count: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Arrays (p, gamma, eta, rho) of ``count`` random points: p uniform on
+    [0, 2), and gamma, eta and rho uniform on the closed unit disk, drawn by
+    rejection from the square."""
     rng = np.random.default_rng(seed)
-    u = np.empty(0)
-    while True:
-        u = np.concatenate([u, rng.random(9 * count + 8)])  # ~8.6 draws a point
-        x = -1.0 + 2.0 * u
-        n = x.size - 1
-        # A pair (x[i], x[i + 1]) is accepted when it lies in the disk; first[i]
-        # is the first accepted j >= i with j = i mod 2, or n when none is.
-        first = np.where(np.hypot(x[:-1], x[1:]) <= 1.0, np.arange(n), n)
-        for parity in (0, 1):
-            first[parity::2] = np.minimum.accumulate(first[parity::2][::-1])[::-1]
-        first = first.tolist() + [n] * 3
-        picks, at = [], 0
-        for _ in range(count):
-            g = first[at + 1]
-            e = first[g + 2]
-            r = first[e + 2]
-            if r == n:
-                break  # the stream ran out: draw another block
-            picks.append((at, g, e, r))
-            at = r + 2
-        else:
-            break
-    at, g, e, r = np.array(picks, dtype=np.intp).reshape(count, 4).T
-
-    def disk(i):
-        w = np.empty(i.size, dtype=np.complex128)
-        w.real, w.imag = x[i], x[i + 1]
-        return w
-
-    return 2.0 * u[at], disk(g), disk(e), disk(r)
+    p = 2.0 * rng.random(count)
+    disk = np.empty(0, dtype=np.complex128)
+    while disk.size < 3 * count:
+        x, y = rng.uniform(-1.0, 1.0, (2, 4 * count))  # pi/4 of them land
+        disk = np.append(disk, (x + 1j * y)[np.hypot(x, y) <= 1.0])
+    gamma, eta, rho = disk[:3 * count].reshape(3, count)
+    return p, gamma, eta, rho
 
 
 def _schur_margins(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """|H3(1)| and its cuboid majorant at the points of :func:`_schur_points`,
+    """|H3(1)| and its cuboid majorant at the points of :func:`_schur_draw`,
     in one array pass."""
-    p, gamma, eta, rho = _schur_points(count, seed)
+    p, gamma, eta, rho = _schur_draw(count, seed)
     a2, a3, a4, a5 = coefficients_from_prefix(
         *caratheodory_from_schur((p, gamma, eta, rho)))
     return (modulus(hankel_h31(a2, a3, a4, a5)),

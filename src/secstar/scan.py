@@ -18,11 +18,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Golden section stops once its bracket is TOL wide, or after MAX_ITER steps.
 TOL = 1e-12
 MAX_ITER = 200
-#: Steps of golden section that golden_max_lookahead evaluates in one call.
-LOOKAHEAD = 5
 
-__all__ = ["golden_max", "golden_max_lookahead", "golden_min", "refine_max", "refine_min",
-           "local_minima", "top_k", "NelderMeadResult", "nelder_mead"]
+__all__ = ["golden_max", "golden_min", "refine_max", "refine_min", "local_minima", "top_k",
+           "NelderMeadResult", "nelder_mead"]
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -42,64 +40,6 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
-def golden_max_lookahead(f: Callable[[list[float]], Sequence[float]], lo: float,
-                         hi: float) -> tuple[float, float]:
-    """``golden_max`` for an objective evaluated on a list of points at once.
-
-    Each call of ``f`` takes every point that the next ``LOOKAHEAD`` steps
-    of ``golden_max`` could reach, built with its own float operations, and
-    the steps are then replayed on those values with its branch test,
-    stopping test and ``MAX_ITER``.  So when ``f`` gives each point the
-    value the scalar objective gives it, the result is ``golden_max``'s
-    bit for bit, in about one call per ``LOOKAHEAD`` steps.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    points = [c, d]
-    fc = fd = None
-    steps = 0
-    while True:
-        # The reachable states, heap-indexed from the current one at 1: node
-        # k steps to 2k when fc >= fd and to 2k+1 otherwise.  Each holds its
-        # (a, b, c, d) and the index of its new point.  A state that stops
-        # the search has no children.
-        nodes = {1: (a, b, c, d, -1)}
-        for k in range(2, 2 << min(LOOKAHEAD, MAX_ITER - steps)):
-            parent = nodes.get(k >> 1)
-            if parent is None or parent[1] - parent[0] <= TOL:
-                continue
-            pa, pb, pc, pd, _ = parent
-            if k & 1:
-                nd = pc + _INVPHI * (pb - pc)
-                nodes[k] = (pc, pb, pd, nd, len(points))
-                points.append(nd)
-            else:
-                nc = pd - _INVPHI * (pd - pa)
-                nodes[k] = (pa, pd, nc, pc, len(points))
-                points.append(nc)
-        values = f(points)
-        if fc is None:
-            fc, fd = values[0], values[1]
-        k = 1
-        while True:
-            k = 2 * k if fc >= fd else 2 * k + 1
-            if k not in nodes:
-                break
-            a, b, c, d, i = nodes[k]
-            if k & 1:
-                fc, fd = fd, values[i]
-            else:
-                fc, fd = values[i], fc
-            steps += 1
-        if steps >= MAX_ITER or b - a <= TOL:
-            break
-        points = []
     if fc >= fd:
         return c, fc
     return d, fd

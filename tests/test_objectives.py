@@ -282,6 +282,13 @@ def test_maximize_rejects_unknown_or_coarse():
         maximize_box("k1", grid=11)
 
 
+@pytest.mark.parametrize("objective,grid", [("k1", (60, 60)), ("g_h3", (60, 60)),
+                                            ("g_h2", (60,)), ("k1", ())])
+def test_maximize_rejects_a_grid_tuple_of_the_wrong_length(objective, grid):
+    with pytest.raises(ValueError, match="one node count per axis"):
+        maximize_box(objective, grid=grid)
+
+
 @given(values=st.lists(st.integers(0, 4), min_size=1, max_size=300),
        data=st.data())
 def test_top_k_equals_stable_full_sort(values, data):

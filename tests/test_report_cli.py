@@ -13,7 +13,7 @@ from secstar import caratheodory, cli, generator, report, subordination, validat
 from secstar.caratheodory import (SchurPoint, caratheodory_from_schur,
                                   coefficients_from_prefix)
 from secstar.functionals import hankel_h31
-from secstar.objectives import h3_bound_surface
+from secstar.objectives import BoxPoint, h3_bound_surface
 from secstar.published import PUBLISHED
 from secstar.series import PowerSeries
 from secstar.report import CONFLICT, MATCH, MISMATCH, report_ok
@@ -525,8 +525,21 @@ def test_phi_point_value_loads_only_the_generator_chain(capsys):
     assert "secstar.generator" in loaded
     assert not loaded & {f"secstar.{m}" for m in (
         "caratheodory", "functionals", "validation", "report", "radii",
-        "subordination", "extremal")}
+        "subordination", "extremal", "objectives")}
     assert child.stdout == run_cli(capsys, ["phi", "--z", "0.5"])[1]
+
+
+def test_optimize_rejects_an_unknown_objective_while_parsing(capsys, monkeypatch):
+    from secstar import objectives
+    monkeypatch.setattr(objectives, "maximize_box", None)  # no handler runs
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["optimize", "--objective", "nope"])
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    names = ", ".join(repr(name) for name in sorted(objectives.OBJECTIVES))
+    assert captured.err.endswith(
+        f"error: argument --objective: invalid choice: 'nope' (choose from {names})\n")
 
 
 def test_package_names_are_the_defining_modules_objects():
@@ -559,37 +572,35 @@ def test_package_name_follows_a_monkeypatch_on_its_module(monkeypatch):
 # -- the report's Schur sweep, batched ---------------------------------------------
 
 
-def _scalar_schur_points(count, seed):
-    """The sweep's points drawn one scalar at a time: the oracle of the batch."""
-    rng = np.random.default_rng(seed)
-
-    def disk():
-        while True:
-            w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if abs(w) <= 1.0:
-                return w
-
-    return [SchurPoint(p=float(2.0 * rng.random()), gamma=disk(), eta=disk(),
-                       rho=disk()) for _ in range(count)]
-
-
-# Seeds 35 and 65 run past the first block of draws at these counts.
+# Counts 1, 2 and 5 need more than one round of rejection draws at these
+# seeds (count 1 at seed 35 three).
 @pytest.mark.parametrize("count, seed", [(2000, 0xC0FFEE), (2000, 20240),
                                          (1, 0xC0FFEE), (2, 0xC0FFEE), (5, 0xC0FFEE),
                                          (1, 35), (2, 35), (5, 65)])
 def test_schur_sweep_equals_scalar_oracle(count, seed):
-    points = _scalar_schur_points(count, seed)
-    p, gamma, eta, rho = report._schur_points(count, seed)
-    for got, attr in ((p, "p"), (gamma, "gamma"), (eta, "eta"), (rho, "rho")):
-        want = np.array([getattr(pt, attr) for pt in points], dtype=got.dtype)
-        assert got.tobytes() == want.tobytes(), attr   # bit for bit
+    p, gamma, eta, rho = drawn = report._schur_draw(count, seed)
+    assert [a.tobytes() for a in drawn] == \
+        [a.tobytes() for a in report._schur_draw(count, seed)]   # one draw per seed
+    assert all(a.shape == (count,) for a in drawn)
+    assert np.all((0.0 <= p) & (p < 2.0))
+    for w in (gamma, eta, rho):
+        assert np.all(np.abs(w) <= 1.0)
+        if count >= 2000:  # uniform on the disk: E|w|^2 = 1/2, E arg w = 0
+            assert abs(np.mean(np.abs(w) ** 2) - 0.5) < 0.02
+            assert abs(np.mean(np.angle(w))) < 0.1
+    if count >= 2000:
+        assert abs(np.mean(p) - 1.0) < 0.05
+        assert len({gamma.tobytes(), eta.tobytes(), rho.tobytes()}) == 3
 
+    # SchurPoint and BoxPoint check each point's admissibility once more.
+    points = [SchurPoint(p=float(a), gamma=complex(b), eta=complex(c), rho=complex(d))
+              for a, b, c, d in zip(p, gamma, eta, rho)]
     worst = 0.0
     h3_want, bound_want = [], []
     for pt in points:
         a2, a3, a4, a5 = coefficients_from_prefix(*caratheodory_from_schur(pt))
         h3_want.append(abs(hankel_h31(a2, a3, a4, a5)))
-        bound_want.append(h3_bound_surface((pt.p, abs(pt.gamma), abs(pt.eta))))
+        bound_want.append(h3_bound_surface(BoxPoint(pt.p, abs(pt.gamma), abs(pt.eta))))
         worst = max(worst, h3_want[-1] - bound_want[-1])
     h3, bound = report._schur_margins(count, seed)
     # The array pass rounds p**3, p**4 and the divisions in the last bit;
