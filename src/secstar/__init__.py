@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     "series": ("PowerSeries", "elementary", "exp_integral_lift"),
     "generator": ("CircleSample", "ImageRegion", "PhiBounds", "g_eval", "g_series",
-                  "phi_eval", "phi_global_bounds", "phi_series",
+                  "image_region", "phi_eval", "phi_global_bounds", "phi_series",
                   "radial_real_range", "sample_circle"),
     "extremal": ("ClassMember", "build_extremal", "distortion_envelope",
                  "growth_envelope", "rotation_bound"),
@@ -23,7 +23,7 @@ _EXPORTS = {
                      "caratheodory_from_schur_printed", "coefficients_from_prefix",
                      "member_from_measure", "measure_equal_atoms",
                      "measure_single_atom", "p_series_from_measure",
-                     "sample_measure", "toeplitz_psd_check"),
+                     "sample_measure", "sample_rows", "toeplitz_psd_check"),
     "functionals": ("FunctionalReport", "an_bound", "coefficient_sum_margin",
                     "compute_report", "convolution_margin", "fs_bound",
                     "sufficient_coefficient_check"),

@@ -15,6 +15,12 @@ rows carry the padding atoms, whose terms are zero; the exact kernels skip
 them and evaluate each member over its real atoms only, with the same bits.
 The single-measure functions are batches of one.
 
+Random measures are drawn per seed by :func:`sample_measure`, one numpy
+Generator each.  :func:`sample_rows` draws the same measures for a batch of
+seeds and returns them packed: it reproduces numpy's seeding, PCG64 stream,
+atom count and angles on arrays, and leaves only the exponential weights to
+numpy, so every bit is the same (``notes/decisions.md``, section 21).
+
 Also here: the classical parametrization of an admissible coefficient prefix
 (p1, p2, p3, p4) by a point (p, gamma, eta, rho), and the Hermitian-Toeplitz
 positivity oracle that certifies such prefixes.
@@ -37,6 +43,7 @@ from .series import PowerSeries, compose_rows, div_rows, lift_rows
 __all__ = [
     "HerglotzMeasure",
     "sample_measure",
+    "sample_rows",
     "measure_single_atom",
     "measure_equal_atoms",
     "BLOCK",
@@ -103,20 +110,207 @@ def sample_measure(rng_seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure
     by the reciprocal of their sum.  That is how ``rng.dirichlet`` draws
     them for alpha = 1, summing in order, so the draws are the same bits
     as ``rng.dirichlet(np.ones(count))`` without its argument checks.
+    :func:`sample_rows` draws the same measures for a batch of seeds.
     """
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
-    rng = np.random.default_rng(rng_seed)
+    weights, angles = _draw(np.random.default_rng(rng_seed), max_atoms)
+    return HerglotzMeasure(atoms=tuple(zip(weights.tolist(), angles.tolist())),
+                           seed=rng_seed)
+
+
+def _draw(rng: np.random.Generator, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and angles of one measure: the per-seed stream."""
     count = int(rng.integers(1, max_atoms + 1))
     angles = rng.uniform(-math.pi, math.pi, count)
-    e = rng.standard_exponential(count)
+    return _simplex(rng.standard_exponential(count)), angles
+
+
+def _simplex(e: np.ndarray) -> np.ndarray:
+    """Unit exponentials scaled onto the simplex, as rng.dirichlet scales them."""
     # A left-to-right sum on every Python: the built-in sum() compensates
     # its float sums from Python 3.12 on.
     weights = e * (1.0 / functools.reduce(operator.add, e.tolist()))
     # Dirichlet can produce a weight a few ulp away from summing to 1.
-    weights = weights / weights.sum()
-    return HerglotzMeasure(atoms=tuple(zip(weights.tolist(), angles.tolist())),
-                           seed=rng_seed)
+    return weights / weights.sum()
+
+
+# -- the same draws for a batch of seeds, on arrays -------------------------
+#
+# numpy's default_rng(seed) hashes the seed's 32-bit words with SeedSequence,
+# seeds PCG64 from the hash, and sample_measure then takes one 64-bit output
+# for the atom count (none when max_atoms = 1) and one per angle.  All of
+# that is integer arithmetic, reproduced here on arrays: uint32 for the
+# hash, and the 128-bit LCG state as (high, low) uint64 limbs.  Only the
+# exponentials stay numpy's: its ziggurat tables are not exposed, so each
+# row's weights come from one Generator set to that row's state.
+
+_M32 = 0xFFFFFFFF
+# SeedSequence's hash constants; its pool holds four 32-bit words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier as (high, low) limbs.
+_PCG_MULT = (2549297995355413924, 4865540595714422341)
+
+
+def _seed_pools(seeds: Sequence) -> list[np.ndarray]:
+    """SeedSequence(seed).pool of every seed, as four (B,) uint32 words.
+
+    A seed that is not an int in [0, 2**128) is hashed by numpy's own
+    SeedSequence, which also raises numpy's error for a bad seed.
+    """
+    small = np.array([type(s) is int and 0 <= s < 1 << 128 for s in seeds],
+                     dtype=bool)
+    pool = np.empty((4, small.size), dtype=np.uint32)
+    rest = np.flatnonzero(~small)
+    if rest.size:
+        pool[:, rest] = np.array(
+            [np.random.SeedSequence(seeds[i]).pool for i in rest.tolist()]).T
+    rows = np.flatnonzero(small)
+    a = np.array([seeds[i] for i in rows.tolist()], dtype=object)
+    # A seed's words, low first; the words past its highest nonzero one are
+    # zero, which SeedSequence hashes as it hashes the pool's empty slots.
+    words = [((a >> 32 * k) & _M32).astype(np.uint32) for k in range(4)]
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    mixer = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixer[dst] = mix(mixer[dst], hashmix(mixer[src]))
+    pool[:, rows] = mixer
+    return list(pool)
+
+
+def _mul128(hi, lo, m_hi: int, m_lo: int):
+    """(hi, lo) * (m_hi, m_lo) mod 2**128."""
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = m_lo & _M32, m_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + lo * m_hi + hi * m_lo, lo * m_lo
+
+
+def _add128(a, b):
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _step(state, inc):
+    """One step of PCG64's LCG: state * multiplier + inc."""
+    return _add128(_mul128(*state, *_PCG_MULT), inc)
+
+
+def _output(state) -> np.ndarray:
+    """PCG64's XSL-RR output of a state: the 64-bit draw it yields."""
+    hi, lo = state
+    x = hi ^ lo
+    rot = hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _pcg64_seeded(pool: list[np.ndarray]):
+    """PCG64's (state, inc) after seeding from SeedSequence pools."""
+    h = _INIT_B
+    words = []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h
+        words.append((v ^ (v >> 16)).astype(np.uint64))
+    # generate_state(4, np.uint64): pairs of words, low word first.
+    val = [words[2 * k] | (words[2 * k + 1] << 32) for k in range(4)]
+    inc = ((val[2] << 1) | (val[3] >> 63), (val[3] << 1) | 1)
+    state = _add128(inc, (val[0], val[1]))
+    return _step(state, inc), inc
+
+
+def _circle_points(angles: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Atoms x_k = e^{-i theta_k} of padded angle rows; padding atoms are 0."""
+    present = np.arange(MAX_ATOMS) < counts[:, None]
+    return np.where(present, np.exp(-1j * angles), 0.0)
+
+
+def sample_rows(seeds: Sequence[int], max_atoms: int = MAX_ATOMS
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The measures ``sample_measure(seed, max_atoms)`` draws, for a batch of
+    seeds: atom counts (B,), and weights, angles and atoms x = e^{-i theta}
+    as (B, MAX_ATOMS) arrays padded with zeros.
+
+    The bits are those of ``pack_measures`` on the sampled measures.  A
+    bad seed raises the error ``np.random.default_rng`` raises for it.
+    """
+    if not 1 <= max_atoms <= MAX_ATOMS:
+        raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
+    return _draw_rows(*_pcg64_seeded(_seed_pools(seeds)), max_atoms)
+
+
+def _draw_rows(state, inc, max_atoms: int):
+    """sample_rows from each row's PCG64 (state, inc) as uint64 limbs."""
+    n = state[0].size
+    # The atom count takes one draw, except at max_atoms = 1.
+    skip = int(max_atoms > 1)
+    states, raw = [state], []
+    for _ in range(skip + max_atoms):
+        state = _step(state, inc)
+        states.append(state)
+        raw.append(_output(state))
+    counts = np.ones(n, dtype=int)
+    redraw = np.zeros(n, dtype=bool)
+    if skip:
+        # Generator.integers: Lemire's method on the low 32 bits of the
+        # draw, rejecting a leftover below 2**32 mod max_atoms.
+        m = (raw[0] & _M32) * max_atoms
+        counts += (m >> 32).astype(int)
+        redraw = (m & _M32) < (1 << 32) % max_atoms
+    cols = np.stack(raw[skip:], axis=1)
+    # Generator.uniform: low + range * next_double.
+    u = (cols >> 11) * 2.0**-53
+    present = np.arange(max_atoms) < counts[:, None]
+    angles = np.zeros((n, MAX_ATOMS))
+    angles[:, :max_atoms] = np.where(present, -math.pi + 2.0 * math.pi * u, 0.0)
+    weights = np.zeros((n, MAX_ATOMS))
+
+    # Each row's exponentials start from the state after its last angle.
+    rows = np.arange(n)
+    end = skip + counts
+    end_hi = np.stack([s[0] for s in states])[end, rows].tolist()
+    end_lo = np.stack([s[1] for s in states])[end, rows].tolist()
+    inc_hi, inc_lo = inc[0].tolist(), inc[1].tolist()
+    rng = np.random.default_rng(0)
+    bits = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for i, (c, again) in enumerate(zip(counts.tolist(), redraw.tolist())):
+        pcg["inc"] = (inc_hi[i] << 64) | inc_lo[i]
+        if again:
+            # Rejected: numpy draws again, and so does this row, from the
+            # state its seed gave.
+            pcg["state"] = (int(states[0][0][i]) << 64) | int(states[0][1][i])
+            bits.state = full
+            w, a = _draw(rng, max_atoms)
+            c = counts[i] = w.size
+            angles[i] = 0.0
+            angles[i, :c] = a
+        else:
+            pcg["state"] = (end_hi[i] << 64) | end_lo[i]
+            bits.state = full
+            w = _simplex(rng.standard_exponential(c))
+        weights[i, :c] = w
+    return counts, weights, angles, _circle_points(angles, counts)
 
 
 def measure_single_atom(angle: float) -> HerglotzMeasure:
@@ -141,8 +335,7 @@ def pack_measures(measures: Sequence[HerglotzMeasure]) -> tuple[np.ndarray, np.n
     for i, m in enumerate(measures):
         counts[i] = len(m.atoms)
         weights[i, : counts[i]], angles[i, : counts[i]] = zip(*m.atoms)
-    present = np.arange(MAX_ATOMS) < counts[:, None]
-    return weights, np.where(present, np.exp(-1j * angles), 0.0)
+    return weights, _circle_points(angles, counts)
 
 
 def p_rows(weights: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:

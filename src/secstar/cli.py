@@ -161,16 +161,20 @@ def _cmd_sample(args) -> int:
         # The CSV rows carry a2.
         raise ValueError("sample needs --order of at least 2")
     max_atoms = caratheodory.MAX_ATOMS if args.max_atoms is None else args.max_atoms
-    measures = [caratheodory.sample_measure(args.seed + i, max_atoms)
-                for i in range(args.count)]
+    seeds = [args.seed + i for i in range(args.count)]
+    counts, weights, angles, x = caratheodory.sample_rows(seeds, max_atoms)
     out = []
-    for m, member in zip(measures,
-                         caratheodory.members_from_measures(measures, args.order)):
-        out.append({
-            "seed": int(m.seed),
-            "atoms": [[w, a] for w, a in m.atoms],
-            "coefficients": [complex_pair(c) for c in member.coeffs.coeffs],
-        })
+    for start in range(0, args.count, caratheodory.BLOCK):
+        rows = slice(start, start + caratheodory.BLOCK)
+        coeffs = caratheodory.member_rows(weights[rows], x[rows], args.order)
+        for i, c in enumerate(coeffs.tolist(), start):
+            k = counts[i]
+            out.append({
+                "seed": seeds[i],
+                "atoms": [list(a) for a in zip(weights[i, :k].tolist(),
+                                               angles[i, :k].tolist())],
+                "coefficients": [complex_pair(v) for v in c],
+            })
     _emit(args, out,
           csv_header=["seed", "atom_count", "a2_re", "a2_im"],
           csv_rows=[[d["seed"], len(d["atoms"]), d["coefficients"][2][0],

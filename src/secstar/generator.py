@@ -31,6 +31,7 @@ __all__ = [
     "CircleSample",
     "sample_circle",
     "ImageRegion",
+    "image_region",
     "g_eval",
     "g_series",
 ]
@@ -175,6 +176,9 @@ class ImageRegion:
         if not ((np.diff(self._psi) > 0).all()
                 and abs(self._psi[-1] - self._psi[0] - 2 * math.pi) < 1e-6):
             raise RuntimeError("image boundary is not starlike about 1")
+        # image_region() shares one instance, so no caller may change it.
+        for a in (self.boundary, self._edges, self._psi):
+            a.flags.writeable = False
 
     def winding_number(self, w: complex) -> int:
         """Winding number of the polygon about w: the reference for contains_batch."""
@@ -214,6 +218,13 @@ class ImageRegion:
             for k in np.flatnonzero(~inside):
                 inside[k] = self.distance_to_boundary(complex(ws[k])) <= boundary_tol
         return inside
+
+
+@functools.lru_cache(maxsize=1)
+def image_region() -> ImageRegion:
+    """The image region, built once: memoised like phi_series, and its
+    arrays are read-only, so callers share it."""
+    return ImageRegion()
 
 
 # -- the primitive g -----------------------------------------------------

@@ -3,12 +3,15 @@
 Draws deterministic batches of Herglotz measures, synthesizes members,
 computes every coefficient functional, and aggregates extremes and flag
 failures.  Per-sample seeds are base_seed + index, so any single sample can
-be reproduced in isolation and the batch result is independent of execution
-order.
+be reproduced in isolation (``sample_measure(base_seed + index)``) and the
+batch result is independent of execution order.
 
+The random measures are drawn ``CHUNK`` seeds at a time by
+``sample_rows``, as padded arrays with the bits ``sample_measure`` gives.
 Members are synthesized, measured and checked for containment in blocks of
-``BLOCK`` (128) members on the batched engine; the block size bounds the
-memory a search holds and does not change any result.
+``BLOCK`` (128) members on the batched engine: the four designated measures,
+then the random ones.  Chunks and blocks bound the memory a search holds,
+whatever its count, and do not change any result.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import numpy as np
 
 from .caratheodory import (BLOCK, HerglotzMeasure, log_derivative_rows,
                            measure_equal_atoms, measure_single_atom,
-                           member_rows, pack_measures, sample_measure)
+                           member_rows, pack_measures, sample_rows)
 from .functionals import FunctionalColumns, functional_columns, modulus
-from .generator import ImageRegion
+from .generator import image_region
 
 __all__ = ["SearchConfig", "SearchSummary", "designated_measures", "run_search"]
 
@@ -34,6 +37,10 @@ DEFAULT_SEED = 0xC0FFEE
 CONTAINMENT_RADIUS = 0.95
 CONTAINMENT_POINTS = 64
 BOUNDARY_TOL = 1e-4
+
+#: Random members drawn per sample_rows call, a multiple of BLOCK.  A call
+#: has a fixed cost, which a chunk of 1 024 seeds spreads thin.
+CHUNK = 8 * BLOCK
 
 
 @dataclass(frozen=True)
@@ -92,19 +99,32 @@ def designated_measures() -> list[HerglotzMeasure]:
     ]
 
 
+def _search_rows(config: SearchConfig):
+    """Weights and atoms of the search's members, at most CHUNK rows at a
+    time: the designated measures, then the random ones.  Every chunk but
+    the last is a whole number of blocks."""
+    weights, x = pack_measures(designated_measures())
+    first = min(CHUNK - len(weights), config.count)
+    _, w, _, xs = sample_rows([config.seed + i for i in range(first)])
+    yield np.concatenate([weights, w]), np.concatenate([x, xs])
+    for start in range(first, config.count, CHUNK):
+        stop = min(start + CHUNK, config.count)
+        _, w, _, xs = sample_rows([config.seed + i for i in range(start, stop)])
+        yield w, xs
+
+
 def run_search(config: SearchConfig = SearchConfig()) -> SearchSummary:
     summary = SearchSummary(config=config)
-    measures = designated_measures()
-    measures.extend(sample_measure(config.seed + i) for i in range(config.count))
-
-    region = ImageRegion() if config.check_containment else None
-    for start in range(0, len(measures), BLOCK):
-        weights, atoms = pack_measures(measures[start:start + BLOCK])
-        summary.record(functional_columns(member_rows(weights, atoms, config.order)))
-        if region is not None:
-            w = log_derivative_rows(weights, atoms, CONTAINMENT_RADIUS,
-                                    CONTAINMENT_POINTS)
-            inside = region.contains_batch(w, boundary_tol=BOUNDARY_TOL)
-            summary.containment_failures += int(
-                (~inside.reshape(w.shape).all(axis=1)).sum())
+    region = image_region() if config.check_containment else None
+    for chunk_weights, chunk_atoms in _search_rows(config):
+        for start in range(0, len(chunk_weights), BLOCK):
+            weights = chunk_weights[start:start + BLOCK]
+            atoms = chunk_atoms[start:start + BLOCK]
+            summary.record(functional_columns(member_rows(weights, atoms, config.order)))
+            if region is not None:
+                w = log_derivative_rows(weights, atoms, CONTAINMENT_RADIUS,
+                                        CONTAINMENT_POINTS)
+                inside = region.contains_batch(w, boundary_tol=BOUNDARY_TOL)
+                summary.containment_failures += int(
+                    (~inside.reshape(w.shape).all(axis=1)).sum())
     return summary

@@ -11,6 +11,8 @@ real atoms only, are compared bit for bit with the padded sum they replaced.
 
 import cmath
 import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,11 +26,11 @@ from secstar.caratheodory import (HerglotzMeasure, log_derivative_on_circle,
                                   sample_measure)
 from secstar.functionals import (FS_MUS, SHARP_BOUNDS, compute_report,
                                  functional_columns)
-from secstar.generator import ImageRegion, phi_series
+from secstar.generator import ImageRegion, image_region, phi_series
 from secstar.series import (PowerSeries, compose_rows, div_rows, exp_rows,
                             lift_rows)
-from secstar.validation import (BLOCK, BOUNDARY_TOL, CONTAINMENT_POINTS,
-                                CONTAINMENT_RADIUS, SearchConfig,
+from secstar.validation import (BLOCK, BOUNDARY_TOL, CHUNK, CONTAINMENT_POINTS,
+                                CONTAINMENT_RADIUS, SearchConfig, SearchSummary,
                                 designated_measures, run_search)
 
 TOL = 1e-14
@@ -355,11 +357,70 @@ def test_batched_functionals_require_order_five():
 def test_run_search_matches_serial_loop(count):
     # BLOCK - 4 fills exactly one block together with the designated measures;
     # BLOCK - 3 spills one member into a second block.
-    cfg = SearchConfig(count=count, seed=count, order=16, check_containment=True)
+    assert_search_matches_oracle(
+        SearchConfig(count=count, seed=count, order=16, check_containment=True))
+
+
+def test_run_search_matches_serial_loop_across_two_to_the_64():
+    # Seeds of two words, then of three; the last member opens a second chunk.
+    assert_search_matches_oracle(SearchConfig(count=CHUNK - 3, seed=2**64 - 600))
+
+
+def assert_search_matches_oracle(cfg):
     got, want = run_search(cfg), oracle_search(cfg)
-    assert got.samples == want["samples"] == count + 4
+    assert got.samples == want["samples"] == cfg.count + 4
     for name in ("max_abs_a2", "max_abs_a3", "max_abs_a4", "max_abs_a5",
                  "max_abs_h22", "max_abs_h31", "t21_min", "t21_max", "t31_min"):
         assert abs(getattr(got, name) - want[name]) <= TOL, name
     assert got.flag_failures == want["flag_failures"]
     assert got.containment_failures == want["containment_failures"]
+
+
+def per_measure_search(config):
+    """run_search with every random measure drawn by sample_measure and
+    packed BLOCK at a time: the reference for the drawn rows."""
+    summary = SearchSummary(config=config)
+    measures = designated_measures()
+    measures += [sample_measure(config.seed + i) for i in range(config.count)]
+    for start in range(0, len(measures), BLOCK):
+        weights, atoms = pack_measures(measures[start:start + BLOCK])
+        summary.record(functional_columns(member_rows(weights, atoms, config.order)))
+        w = log_derivative_rows(weights, atoms, CONTAINMENT_RADIUS, CONTAINMENT_POINTS)
+        inside = image_region().contains_batch(w, boundary_tol=BOUNDARY_TOL)
+        summary.containment_failures += int((~inside.reshape(w.shape).all(axis=1)).sum())
+    return summary
+
+
+@pytest.mark.parametrize("count,seed", [
+    (0, 5), (1, 2**128), (CHUNK - 4, 11), (CHUNK - 3, 2**32 - 500),
+    (2 * CHUNK + 5, 2**64 - 1000), (300, 2**128 - 150)])
+def test_run_search_keeps_every_bit_of_the_per_measure_draw(count, seed):
+    # Chunk edges: CHUNK - 4 random members fill the first chunk behind the
+    # designated measures, and one more opens the second.
+    cfg = SearchConfig(count=count, seed=seed)
+    assert repr(asdict(run_search(cfg))) == repr(asdict(per_measure_search(cfg)))
+
+
+def test_run_search_rejects_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_search(SearchConfig(count=3, seed=-1))
+
+
+def search_peak(count):
+    # A first search fills the process's memos (the region among them).
+    run_search(SearchConfig(count=8))
+    tracemalloc.start()
+    try:
+        run_search(SearchConfig(count=count, seed=3))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_memory_does_not_grow_with_count():
+    # Drawing every measure first held about 0.65 kB a member: 6 140 members
+    # peaked near 5.9 MiB, against 2.7 MiB for 1 020.  Six chunks now peak
+    # where one does.
+    one, six = search_peak(CHUNK - 4), search_peak(6 * CHUNK - 4)
+    assert six < 3 * 2**20
+    assert six <= one + 2**18

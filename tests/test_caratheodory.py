@@ -1,16 +1,19 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secstar.caratheodory import (HerglotzMeasure, SchurPoint,
-                                  caratheodory_from_schur,
+from secstar.caratheodory import (MAX_ATOMS, HerglotzMeasure, SchurPoint,
+                                  _draw_rows, caratheodory_from_schur,
                                   log_derivative_on_circle,
                                   measure_equal_atoms, measure_single_atom,
                                   member_from_measure, p_eval_from_measure,
-                                  p_series_from_measure, sample_measure,
+                                  p_series_from_measure, pack_measures,
+                                  sample_measure, sample_rows,
                                   toeplitz_psd_check)
 
 
@@ -142,6 +145,103 @@ def test_sample_measure_invariants(seed):
     assert (w >= 0).all()
     assert abs(w.sum() - 1.0) <= 1e-12
     assert ((m.angles >= -math.pi) & (m.angles < math.pi)).all()
+
+
+# -- sample_rows: the same draws for a batch of seeds ---------------------------
+
+
+def assert_rows_are_the_measures(seeds, max_atoms):
+    counts, weights, angles, x = sample_rows(seeds, max_atoms)
+    measures = [sample_measure(s, max_atoms) for s in seeds]
+    want_weights, want_x = pack_measures(measures)
+    assert counts.tolist() == [len(m.atoms) for m in measures]
+    assert repr(weights.tolist()) == repr(want_weights.tolist())
+    assert repr(x.tolist()) == repr(want_x.tolist())
+    assert repr([a[:c] for a, c in zip(angles.tolist(), counts.tolist())]) == repr(
+        [[a for _, a in m.atoms] for m in measures])
+    assert not angles[np.arange(MAX_ATOMS) >= counts[:, None]].any()
+
+
+@given(st.lists(st.integers(0, 2**200), min_size=1, max_size=12))
+@settings(max_examples=60)
+def test_sample_rows_are_the_sampled_measures(seeds):
+    # Seeds of 1 to 7 words; those of 5 or more are hashed by numpy itself.
+    for max_atoms in range(1, MAX_ATOMS + 1):
+        assert_rows_are_the_measures(seeds, max_atoms)
+
+
+def test_sample_rows_at_word_boundaries():
+    # Each side of 2**32, 2**64 and 2**128: one more seed word, and past
+    # 2**128 numpy's own hash.
+    seeds = [0, 1] + [2**b + d for b in (32, 64, 128) for d in range(-2, 3)]
+    seeds += list(range(500))
+    for max_atoms in range(1, MAX_ATOMS + 1):
+        assert_rows_are_the_measures(seeds, max_atoms)
+
+
+def test_sample_rows_of_no_seed():
+    counts, weights, angles, x = sample_rows([])
+    assert counts.shape == (0,)
+    assert weights.shape == angles.shape == x.shape == (0, MAX_ATOMS)
+
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def limbs(values):
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
+
+
+def pcg64_step(state, inc):
+    return (state * PCG_MULT + inc) % 2**128
+
+
+def test_sample_rows_redraws_lemire_rejections():
+    # A PCG64 state whose next output is 0: the count draw's low 32 bits are
+    # 0, a leftover Generator.integers rejects for max_atoms 3, 5, 6 and 7
+    # (2**32 mod max_atoms > 0), and so are the high 32 bits it tries next.
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    after = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF  # high ^ low = 0
+    zero_next = (after - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+    assert pcg64_step(zero_next, inc) == after
+    rng = np.random.Generator(np.random.PCG64())
+    starts = [zero_next, np.random.PCG64(7).state["state"]["state"]]
+    for max_atoms in range(1, MAX_ATOMS + 1):
+        counts, weights, angles, _ = _draw_rows(limbs(starts), limbs([inc] * 2),
+                                                max_atoms)
+        for i, start in enumerate(starts):
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": start, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+            count = int(rng.integers(1, max_atoms + 1))
+            if i == 0 and max_atoms in (3, 5, 6, 7):
+                # Rejected twice: the count took a second 64-bit output.
+                assert (rng.bit_generator.state["state"]["state"]
+                        == pcg64_step(after, inc))
+            want_angles = rng.uniform(-math.pi, math.pi, count)
+            e = rng.standard_exponential(count)
+            want = e * (1.0 / functools.reduce(operator.add, e.tolist()))
+            want = want / want.sum()
+            assert counts[i] == count
+            assert repr(weights[i, :count].tolist()) == repr(want.tolist())
+            assert repr(angles[i, :count].tolist()) == repr(want_angles.tolist())
+            assert not weights[i, count:].any() and not angles[i, count:].any()
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 1.0, np.True_, "3"])
+def test_sample_rows_rejects_seeds_as_numpy_does(seed):
+    with pytest.raises(Exception) as want:
+        np.random.default_rng(seed)
+    with pytest.raises(type(want.value)) as got:
+        sample_rows([3, seed])
+    assert str(got.value) == str(want.value)
+
+
+def test_sample_rows_takes_the_seeds_numpy_takes():
+    # A Python bool or a numpy integer seeds default_rng like the int it equals.
+    seeds = [True, False, np.int64(7), np.uint64(2**63 + 5)]
+    assert_rows_are_the_measures(seeds, MAX_ATOMS)
 
 
 def test_exact_kernel_positive_real_part():

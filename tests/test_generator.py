@@ -128,6 +128,15 @@ def test_region_contains_function():
     assert ImageRegion().winding_number(4.0) != 1
 
 
+def test_default_region_is_built_once_and_read_only():
+    region = generator.image_region()
+    assert generator.image_region() is region
+    for a in (region.boundary, region._edges, region._psi):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_region_boundary_classification(image_region):
     w = phi_eval(cmath.exp(0.7j))
     assert image_region.distance_to_boundary(w) <= 1e-6

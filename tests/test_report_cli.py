@@ -306,7 +306,8 @@ def test_cli_caps_member_counts(capsys, monkeypatch, argv, flag):
         raise AssertionError("a measure was drawn")
 
     monkeypatch.setattr(caratheodory, "sample_measure", no_measure)
-    monkeypatch.setattr(validation, "sample_measure", no_measure)
+    monkeypatch.setattr(caratheodory, "sample_rows", no_measure)
+    monkeypatch.setattr(validation, "sample_rows", no_measure)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -434,8 +435,10 @@ def _radial_range_escape(monkeypatch):
 
 def _boundary_winding_twice(monkeypatch):
     # A boundary curve 1 + z^2 turns twice about 1: the region refuses it
-    # before the search prints anything.
+    # before the search prints anything.  The search's region is memoised,
+    # so the cached one is dropped; the failed build caches nothing.
     monkeypatch.setattr(generator, "_phi_values", lambda z: 1.0 + z * z)
+    generator.image_region.cache_clear()
     return ["search", "--samples", "8"], "image boundary is not starlike about 1"
 
 
