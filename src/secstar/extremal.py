@@ -37,7 +37,8 @@ __all__ = [
 class ClassMember:
     """Normalized analytic function given by its coefficient series.
 
-    The series must satisfy c0 = 0 and c1 = 1 exactly.
+    The series must satisfy c0 = 0 and c1 = 1 exactly, with every
+    coefficient finite.
     """
 
     coeffs: PowerSeries
@@ -47,6 +48,8 @@ class ClassMember:
         c = self.coeffs.coeffs
         if c.size < 2 or c[0] != 0 or c[1] != 1:
             raise ValueError("class member needs c0 = 0 and c1 = 1 exactly")
+        if not np.isfinite(c).all():
+            raise ValueError("class member needs finite coefficients")
 
     @property
     def order(self) -> int:

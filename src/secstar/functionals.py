@@ -63,6 +63,8 @@ FS_MUS = (0.0, 0.25, 0.5, 1.0, 1.25, 2.0)
 THETA_SAMPLES = 720
 #: Outer radius of the z grid of convolution_margin.
 MAX_RADIUS = 0.99
+#: Consecutive theta rows per block of the coarse-grid search.
+ROW_BLOCK = 7
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,32 @@ def an_bound(n: int) -> float:
     return math.sqrt((4.0 - K1) / den)
 
 
+def _series_on_grid(member: ClassMember,
+                    zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(z)/z and f'(z) on the z grid, by one Horner pass over both series."""
+    a = member.coeffs.coeffs                            # a[0]=0, a[1]=1
+    f_over_z = np.full(zs.shape, a[-1], dtype=np.complex128)
+    df = member.order * f_over_z
+    for n in range(member.order - 1, 0, -1):
+        f_over_z = f_over_z * zs + a[n]
+        df = df * zs + n * a[n]
+    return f_over_z, df
+
+
+def _row_values(pt, f_over_z: np.ndarray, df: np.ndarray, row: np.ndarray,
+                dst: np.ndarray) -> None:
+    """|f'(z) - pt f(z)/z| over the whole z grid into dst (row is scratch).
+
+    Always called at the full grid length, so that every row runs the same
+    numpy loops and has the same bits: numpy does not promise that its loops
+    for other lengths or strides round alike, and its scalar ``abs`` rounds
+    differently (notes/decisions.md, section 22).
+    """
+    np.multiply(pt, f_over_z, out=row)
+    np.subtract(df, row, out=row)
+    np.abs(row, out=dst)
+
+
 def _convolution_values(member: ClassMember, thetas: np.ndarray,
                         zs: np.ndarray) -> np.ndarray:
     """|1 + sum_{n>=2} (n - phi(e^{i theta})) a_n z^{n-1} - phi(e^{i theta})|.
@@ -217,19 +245,71 @@ def _convolution_values(member: ClassMember, thetas: np.ndarray,
     Horner's rule, and each theta row is one multiply, subtract and modulus.
     """
     phi_t = _phi_values(np.exp(1j * thetas))           # (T,)
-    a = member.coeffs.coeffs                            # a[0]=0, a[1]=1
-    f_over_z = np.full(zs.shape, a[-1], dtype=np.complex128)
-    df = member.order * f_over_z
-    for n in range(member.order - 1, 0, -1):
-        f_over_z = f_over_z * zs + a[n]
-        df = df * zs + n * a[n]
+    f_over_z, df = _series_on_grid(member, zs)
     out = np.empty((thetas.size, zs.size))
     row = np.empty(zs.size, dtype=np.complex128)
     for pt, dst in zip(phi_t, out):
-        np.multiply(pt, f_over_z, out=row)
-        np.subtract(df, row, out=row)
-        np.abs(row, out=dst)
+        _row_values(pt, f_over_z, df, row, dst)
     return out
+
+
+def _grid_argmin(member: ClassMember, thetas: np.ndarray,
+                 zs: np.ndarray) -> tuple[int, int, float]:
+    """(i, j, value) of ``np.argmin`` over ``_convolution_values``, bit for bit,
+    without the (T, Z) array.
+
+    Rows are evaluated one at a time into one buffer.  The rows are split
+    into blocks of ROW_BLOCK consecutive thetas, and each block's middle row
+    s is evaluated first.  Since |df - phi_i F| >= |df - phi_s F|
+    - |phi_i - phi_s| |F|, no row of a block can reach the least middle-row
+    value U when min_j(row_s - spread |F|) exceeds U by more than the
+    rounding slack; such a block is skipped (notes/decisions.md, section 22).
+    The least row minimum wins, ties going to the lower row, and ``argmin``
+    takes the lowest j within a row: numpy's C-order first occurrence.
+    """
+    phi_t = _phi_values(np.exp(1j * thetas))
+    f_over_z, df = _series_on_grid(member, zs)
+    row = np.empty(zs.size, dtype=np.complex128)
+    vals = np.empty(zs.size)
+    mins = np.full(thetas.size, np.inf)
+    args = np.zeros(thetas.size, dtype=np.intp)
+
+    def evaluate(i):
+        _row_values(phi_t[i], f_over_z, df, row, vals)
+        args[i] = j = np.argmin(vals)
+        mins[i] = vals[j]
+
+    abs_f = np.abs(f_over_z)
+    scale = (float(np.abs(df).max())
+             + float(np.abs(phi_t).max()) * float(abs_f.max()))
+    # Each product, difference and modulus of a row is below 4.3 scale, so a
+    # finite 8 scale means every row value and every bound is finite.  Python
+    # floats, unlike numpy's, overflow to inf without a warning.
+    if not math.isfinite(8.0 * scale):
+        for i in range(thetas.size):
+            evaluate(i)
+    else:
+        # The slack covers the rounding of the row values and of the bound,
+        # each a few ulps of scale.
+        slack = 1e-12 * scale
+        bound = np.empty(zs.size)
+        blocks = []
+        for start in range(0, thetas.size, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, thetas.size)
+            s = (start + stop - 1) // 2
+            evaluate(s)
+            spread = np.abs(phi_t[start:stop] - phi_t[s]).max()
+            np.multiply(abs_f, spread, out=bound)
+            np.subtract(vals, bound, out=bound)
+            blocks.append((bound.min() - slack, start, stop, s))
+        least = mins.min()
+        for low, start, stop, s in blocks:
+            if low <= least:
+                for i in range(start, stop):
+                    if i != s:
+                        evaluate(i)
+    i = int(np.argmin(mins))
+    return i, int(args[i]), float(mins[i])
 
 
 def convolution_margin(member: ClassMember, theta_samples: int = THETA_SAMPLES,
@@ -237,8 +317,11 @@ def convolution_margin(member: ClassMember, theta_samples: int = THETA_SAMPLES,
     """Infimum of the convolution nonvanishing expression over a theta x z grid.
 
     A positive margin is consistent with class membership; a near-zero or
-    negative value flags a violation.  One refinement pass shrinks the grid
-    around the minimizing cell.
+    negative value flags a violation.  The grid minimum is found row by row
+    (:func:`_grid_argmin`), skipping blocks of theta rows that a bound rules
+    out, so memory does not grow with ``theta_samples``; it is the cell and
+    value numpy's ``argmin`` gives over the whole grid.  One refinement pass
+    shrinks the grid around the minimizing cell.
     """
     if theta_samples < 360:
         raise ValueError("need at least 360 theta samples")
@@ -248,9 +331,7 @@ def convolution_margin(member: ClassMember, theta_samples: int = THETA_SAMPLES,
     radii = np.linspace(MAX_RADIUS / z_radii, MAX_RADIUS, z_radii)
     angles = np.linspace(-math.pi, math.pi, z_angles, endpoint=False)
     zs = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    vals = _convolution_values(member, thetas, zs)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    best = float(vals[i, j])
+    i, j, best = _grid_argmin(member, thetas, zs)
 
     # One local refinement around the minimizing (theta, z) cell.
     dt = 2.0 * math.pi / theta_samples

@@ -103,6 +103,11 @@ def test_class_member_validation():
         ClassMember(PowerSeries([0.1, 1, 0]))
     with pytest.raises(ValueError):
         ClassMember(PowerSeries([0, 0.999, 0]))
+    # A non-finite coefficient used to give a NaN convolution margin and a
+    # (False, nan) sufficient check without any error.
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ClassMember(PowerSeries([0, 1, 0.1, 0.2, bad, 0.0]))
 
 
 # -- envelopes ---------------------------------------------------------------

@@ -1,13 +1,18 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secstar import functionals
 from secstar.caratheodory import (measure_equal_atoms, member_from_measure,
                                   sample_measure)
 from secstar.extremal import ClassMember, build_extremal
-from secstar.functionals import (K1, PHI_RE_MAX, THETA_SAMPLES, an_bound,
+from secstar.functionals import (K1, MAX_RADIUS, PHI_RE_MAX, ROW_BLOCK,
+                                 THETA_SAMPLES, an_bound,
                                  coefficient_sum_margin, compute_report,
                                  convolution_margin, fs_bound,
                                  sufficient_coefficient_check)
@@ -171,13 +176,25 @@ def oracle_member(name):
     return member_from_measure(sample_measure(order), order)
 
 
+def full_argmin(values):
+    """(i, j, value) of numpy's C-order argmin over a (T, Z) value array."""
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    return int(i), int(j), values[i, j]
+
+
+def assert_same_argmin(got, want):
+    assert (got[0], got[1], float(got[2]).hex()) == (want[0], want[1],
+                                                     float(want[2]).hex())
+
+
 @pytest.mark.parametrize("grid", [(THETA_SAMPLES, 24, 96), (360, 8, 32)],
                          ids=["default", "360x8x32"])
 @pytest.mark.parametrize("name", ORACLE_MEMBERS)
 def test_convolution_margin_matches_per_theta_oracle(name, grid, monkeypatch):
     member = oracle_member(name)
     factored = functionals._convolution_values
-    shapes = []
+    row_search = functionals._grid_argmin
+    coarse = []
 
     def checked(m, thetas, zs):
         vals = factored(m, thetas, zs)
@@ -186,17 +203,100 @@ def test_convolution_margin_matches_per_theta_oracle(name, grid, monkeypatch):
         # both sums carry rounding error relative to the terms, not to the
         # value: the bound is scaled by the terms.
         assert np.all(np.abs(vals - ref) <= 1e-13 * term_scale(m, thetas, zs))
-        shapes.append(vals.shape)
         return vals
 
+    def checked_search(m, thetas, zs):
+        # The row search finds the cell, and the bits, of the full array's
+        # argmin.
+        found = row_search(m, thetas, zs)
+        assert_same_argmin(found, full_argmin(checked(m, thetas, zs)))
+        coarse.append((thetas.size, zs.size))
+        return found
+
     monkeypatch.setattr(functionals, "_convolution_values", checked)
+    monkeypatch.setattr(functionals, "_grid_argmin", checked_search)
     margin = convolution_margin(member, *grid)
-    # The coarse theta x z grid, then the 17 x (9 x 17) refinement.
-    assert shapes == [(grid[0], grid[1] * grid[2]), (17, 9 * 17)]
+    assert coarse == [(grid[0], grid[1] * grid[2])]
     monkeypatch.setattr(functionals, "_convolution_values",
                         per_theta_convolution_values)
+    monkeypatch.setattr(functionals, "_grid_argmin",
+                        lambda m, thetas, zs: full_argmin(
+                            per_theta_convolution_values(m, thetas, zs)))
     assert abs(margin - convolution_margin(member, *grid)) <= 1e-15
     assert margin > 0
+
+
+def margin_grid(theta_samples, z_radii, z_angles):
+    """The coarse theta and z grids of convolution_margin."""
+    thetas = np.linspace(-math.pi, math.pi, theta_samples, endpoint=False)
+    radii = np.linspace(MAX_RADIUS / z_radii, MAX_RADIUS, z_radii)
+    angles = np.linspace(-math.pi, math.pi, z_angles, endpoint=False)
+    return thetas, (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def grid_member(name):
+    return identity_member() if name == "identity" else oracle_member(name)
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(["identity", *ORACLE_MEMBERS]),
+       blocks=st.integers(0, 160), extra=st.integers(1, ROW_BLOCK - 1),
+       z_radii=st.integers(2, 12), z_angles=st.integers(2, 40))
+def test_row_search_matches_full_argmin(name, blocks, extra, z_radii, z_angles):
+    # T is never a multiple of the block size, so the last block is short;
+    # the identity member's rows are constant in z, so every z of a row ties.
+    member = grid_member(name)
+    thetas, zs = margin_grid(blocks * ROW_BLOCK + extra, z_radii, z_angles)
+    assert_same_argmin(functionals._grid_argmin(member, thetas, zs),
+                       full_argmin(functionals._convolution_values(
+                           member, thetas, zs)))
+
+
+@pytest.mark.parametrize("a2", [1e307, 1e308])
+def test_row_search_evaluates_every_row_where_values_may_overflow(a2):
+    # 8 (max|f'| + max|phi| max|f/z|) is past the float range, so no bound is
+    # trusted.  At a2 = 1e308, 55 of the 360 rows hold NaNs, and the first
+    # NaN in C order wins, as in numpy's argmin.
+    member = ClassMember(PowerSeries([0, 1, a2, 0, 0, 0]))
+    thetas, zs = margin_grid(360, 4, 6)
+    with np.errstate(all="ignore"):
+        assert_same_argmin(functionals._grid_argmin(member, thetas, zs),
+                           full_argmin(functionals._convolution_values(
+                               member, thetas, zs)))
+
+
+def test_row_search_skips_blocks_for_the_extremals(monkeypatch):
+    evaluate = functionals._row_values
+    rows = []
+
+    def counted(*args):
+        rows.append(args[0])
+        return evaluate(*args)
+
+    monkeypatch.setattr(functionals, "_row_values", counted)
+    thetas, zs = margin_grid(THETA_SAMPLES, 24, 96)
+    counts = []
+    for n in range(2, 9):
+        rows.clear()
+        functionals._grid_argmin(build_extremal(n, 32), thetas, zs)
+        counts.append(len(rows))
+    # Every block's middle row is evaluated; each member skips some blocks,
+    # and the seven together skip more than half of all rows.
+    assert all(-(-THETA_SAMPLES // ROW_BLOCK) <= c < THETA_SAMPLES for c in counts)
+    assert sum(counts) < 0.5 * 7 * THETA_SAMPLES
+
+
+def test_convolution_margin_memory_does_not_grow_with_theta_samples():
+    # The (T, Z) value array of the coarse grid took 127 MiB at T = 7200.
+    f2 = build_extremal(2, 32)
+    tracemalloc.start()
+    try:
+        convolution_margin(f2, theta_samples=7200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("name", ORACLE_MEMBERS)
