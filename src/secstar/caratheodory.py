@@ -453,7 +453,7 @@ class SchurPoint:
         if not 0.0 <= self.p <= 2.0:
             raise ValueError("p must lie in [0, 2]")
         for name in ("gamma", "eta", "rho"):
-            if abs(getattr(self, name)) > 1.0 + 1e-12:
+            if not abs(getattr(self, name)) <= 1.0 + 1e-12:  # NaN fails too
                 raise ValueError(f"|{name}| must be <= 1")
 
 

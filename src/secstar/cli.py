@@ -71,10 +71,16 @@ def _point(text: str) -> complex:
     return z
 
 
-def _member_from_args(args):
+def _require_order(args, least: int) -> None:
+    if args.order < least:
+        raise ValueError(f"{args.command} needs --order of at least {least}")
+
+
+def _member_from_args(args, least_order: int):
+    if args.n is not None and (args.seed is not None or args.max_atoms is not None):
+        raise ValueError("--n takes no --seed or --max-atoms")
+    _require_order(args, max(least_order, args.n or 0))  # f_n needs a_n
     if args.n is not None:
-        if args.seed is not None or args.max_atoms is not None:
-            raise ValueError("--n takes no --seed or --max-atoms")
         from . import extremal
         return extremal.build_extremal(args.n, args.order)
     from . import caratheodory
@@ -136,6 +142,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_extremal(args) -> int:
     from . import extremal
+    _require_order(args, args.n)
     member = extremal.build_extremal(args.n, args.order)
     coeffs = member.coeffs.coeffs
     payload = {
@@ -157,9 +164,7 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     _member_count("--count", args.count)
-    if args.order < 2:
-        # The CSV rows carry a2.
-        raise ValueError("sample needs --order of at least 2")
+    _require_order(args, 2)  # the CSV rows carry a2
     max_atoms = caratheodory.MAX_ATOMS if args.max_atoms is None else args.max_atoms
     seeds = [args.seed + i for i in range(args.count)]
     counts, weights, angles, x = caratheodory.sample_rows(seeds, max_atoms)
@@ -184,7 +189,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_functionals(args) -> int:
     from . import functionals
-    member = _member_from_args(args)
+    member = _member_from_args(args, 5)
     rep = functionals.compute_report(member, convolution=args.convolution)
     payload = {
         "provenance": member.provenance,
@@ -271,7 +276,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_convolution_check(args) -> int:
     from . import functionals
-    member = _member_from_args(args)
+    member = _member_from_args(args, 1)
     theta_samples = (functionals.THETA_SAMPLES if args.theta_samples is None
                      else args.theta_samples)
     margin = functionals.convolution_margin(member, theta_samples=theta_samples,
@@ -290,6 +295,7 @@ def _cmd_convolution_check(args) -> int:
 
 def _cmd_search(args) -> int:
     from . import validation
+    _require_order(args, 5)
     summary = validation.run_search(validation.SearchConfig(
         count=_member_count("--samples", args.samples or 10_000), seed=args.seed,
         order=args.order))

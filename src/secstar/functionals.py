@@ -25,6 +25,7 @@ import numpy as np
 
 from .extremal import ClassMember
 from .generator import RE_MAX, _phi_values
+from .series import PowerSeries
 
 __all__ = [
     "SHARP_BOUNDS",
@@ -212,14 +213,9 @@ def an_bound(n: int) -> float:
 
 def _series_on_grid(member: ClassMember,
                     zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(z)/z and f'(z) on the z grid, by one Horner pass over both series."""
-    a = member.coeffs.coeffs                            # a[0]=0, a[1]=1
-    f_over_z = np.full(zs.shape, a[-1], dtype=np.complex128)
-    df = member.order * f_over_z
-    for n in range(member.order - 1, 0, -1):
-        f_over_z = f_over_z * zs + a[n]
-        df = df * zs + n * a[n]
-    return f_over_z, df
+    """f(z)/z and f'(z) on the z grid, by Horner's rule on both series."""
+    return (PowerSeries(member.coeffs.coeffs[1:]).evaluate(zs),
+            member.coeffs.derivative().evaluate(zs))
 
 
 def _row_values(pt, f_over_z: np.ndarray, df: np.ndarray, row: np.ndarray,
@@ -236,27 +232,11 @@ def _row_values(pt, f_over_z: np.ndarray, df: np.ndarray, row: np.ndarray,
     np.abs(row, out=dst)
 
 
-def _convolution_values(member: ClassMember, thetas: np.ndarray,
-                        zs: np.ndarray) -> np.ndarray:
-    """|1 + sum_{n>=2} (n - phi(e^{i theta})) a_n z^{n-1} - phi(e^{i theta})|.
-
-    The expression is linear in phi_t = phi(e^{i theta}): with a_1 = 1 it is
-    f'(z) - phi_t f(z)/z.  Both series are evaluated once on the z grid by
-    Horner's rule, and each theta row is one multiply, subtract and modulus.
-    """
-    phi_t = _phi_values(np.exp(1j * thetas))           # (T,)
-    f_over_z, df = _series_on_grid(member, zs)
-    out = np.empty((thetas.size, zs.size))
-    row = np.empty(zs.size, dtype=np.complex128)
-    for pt, dst in zip(phi_t, out):
-        _row_values(pt, f_over_z, df, row, dst)
-    return out
-
-
 def _grid_argmin(member: ClassMember, thetas: np.ndarray,
                  zs: np.ndarray) -> tuple[int, int, float]:
-    """(i, j, value) of ``np.argmin`` over ``_convolution_values``, bit for bit,
-    without the (T, Z) array.
+    """(i, j, value) of ``np.argmin`` over the (T, Z) array of the convolution
+    expression |f'(z) - phi_t f(z)/z|, phi_t = phi(e^{i theta}), bit for bit,
+    without the array; the value is its minimum, a NaN first included.
 
     Rows are evaluated one at a time into one buffer.  The rows are split
     into blocks of ROW_BLOCK consecutive thetas, and each block's middle row
@@ -320,8 +300,8 @@ def convolution_margin(member: ClassMember, theta_samples: int = THETA_SAMPLES,
     negative value flags a violation.  The grid minimum is found row by row
     (:func:`_grid_argmin`), skipping blocks of theta rows that a bound rules
     out, so memory does not grow with ``theta_samples``; it is the cell and
-    value numpy's ``argmin`` gives over the whole grid.  One refinement pass
-    shrinks the grid around the minimizing cell.
+    value numpy's ``argmin`` gives over the whole grid.  One refinement pass,
+    searched the same way, shrinks the grid around the minimizing cell.
     """
     if theta_samples < 360:
         raise ValueError("need at least 360 theta samples")
@@ -342,8 +322,7 @@ def convolution_margin(member: ClassMember, theta_samples: int = THETA_SAMPLES,
     rr = np.linspace(max(abs(z0) - dr, 1e-6), min(abs(z0) + dr, MAX_RADIUS), 9)
     aa = np.angle(z0) + np.linspace(-da, da, 17)
     z_ref = (rr[:, None] * np.exp(1j * aa)[None, :]).ravel()
-    best_ref = float(_convolution_values(member, t_ref, z_ref).min())
-    return min(best, best_ref)
+    return min(best, _grid_argmin(member, t_ref, z_ref)[2])
 
 
 def sufficient_coefficient_check(member: ClassMember) -> tuple[bool, float]:

@@ -56,12 +56,7 @@ def phi_series(order: int) -> PowerSeries:
 
     Memoised by order; the returned series is immutable, so callers share it.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    one_plus_z = PowerSeries(np.concatenate([[1.0, 1.0], np.zeros(max(order - 1, 0))])
-                             if order >= 1 else [1.0])
-    sec = 1.0 / elementary("cos", order)
-    return one_plus_z * sec
+    return (1.0 + elementary("identity", order)) * (1.0 / elementary("cos", order))
 
 
 def radial_real_range(r: float, samples: int = 1024, verify: bool = True) -> tuple[float, float]:
@@ -241,11 +236,8 @@ def g_series(order: int) -> PowerSeries:
 
     Memoised by order; the returned series is immutable, so callers share it.
     """
-    q = phi_series(order).coeffs
-    c = np.zeros(order + 1, dtype=np.complex128)
-    if order >= 1:
-        c[1:] = q[1:] / np.arange(1, order + 1)
-    return PowerSeries(c)
+    q = phi_series(order)
+    return PowerSeries(q.coeffs[1:]).integral() if order else PowerSeries([0.0])
 
 
 def _horner(coeffs: list[complex], z: complex) -> complex:

@@ -1,9 +1,9 @@
 """Explicit bound surfaces from the Hankel-determinant estimates, maximized.
 
 ``h2_bound_surface`` and ``h3_bound_surface`` reproduce the displayed
-majorants exactly as printed in the source material; the face and edge
-restrictions of the cuboid objective are registered alongside so each
-reported stationary value can be reproduced independently.
+majorants exactly as printed in the source material.  The cuboid's faces
+y = 0 and y = 1 are the surface restricted there; its other face and edge
+restrictions are registered as printed, so each stationary value reproduces.
 
 The cuboid surface dominates |H3(1)| pointwise over the coefficient-prefix
 parametrization (with its corrected rho factor, see the caratheodory
@@ -70,7 +70,7 @@ def h2_reduced_polynomial(p: float) -> float:
     return (192.0 - 48.0 * p * p + 17.0 * p**4) / 768.0
 
 
-def _g_terms(p, x, y):
+def _g_terms(p, x):
     t = 4.0 - p * p
     g1 = (5.0 * p**6 + 26.0 * p**4 * t * x + 144.0 * p * p * t * x * x
           + 56.0 * p**4 * t * x * x + 68.0 * p * p * t * t * x * x
@@ -85,7 +85,7 @@ def _g_terms(p, x, y):
 def h3_bound_surface(pt: BoxPoint | tuple[float, float, float]) -> float:
     """The cuboid majorant of |H3(1)| with the four summands as printed."""
     p, x, y = (pt.p, pt.x, pt.y) if isinstance(pt, BoxPoint) else pt
-    t, g1, g2, g3 = _g_terms(p, x, y)
+    t, g1, g2, g3 = _g_terms(p, x)
     g4 = t * (1.0 - y * y) * (144.0 * p * p + 288.0 * t * x) * (1.0 - x * x)
     return (g1 + g2 * y + g3 * y * y + g4) / 36864.0
 
@@ -110,14 +110,11 @@ def face_x1(p: float) -> float:
 
 
 def face_y0(p: float, x: float) -> float:
-    t = 4.0 - p * p
-    _, g1, _, _ = _g_terms(p, x, 0.0)
-    return (g1 + t * (144.0 * p * p + 288.0 * t * x) * (1.0 - x * x)) / 36864.0
+    return h3_bound_surface((p, x, 0.0))
 
 
 def face_y1(p: float, x: float) -> float:
-    t, g1, g2, g3 = _g_terms(p, x, 1.0)
-    return (g1 + g2 + g3) / 36864.0
+    return h3_bound_surface((p, x, 1.0))
 
 
 def edge_k1(p: float) -> float:

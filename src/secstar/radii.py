@@ -148,8 +148,8 @@ def inclusion_constants() -> InclusionConstants:
 
 def ellipse_parameters(k: float) -> tuple[float, float, float]:
     """Center x0, semi-axes (u, v) of the k-level boundary ellipse (k > 1)."""
-    if k <= 1.0:
-        raise ValueError("the boundary curve is an ellipse only for k > 1")
+    if not 1.0 < k < math.inf:  # NaN fails too
+        raise ValueError("the boundary curve is an ellipse only for finite k > 1")
     den = k * k - 1.0
     return k * k / den, k / den, 1.0 / math.sqrt(den)
 

@@ -150,19 +150,14 @@ class PowerSeries:
         return PowerSeries(exp_rows(self._c[None])[0])
 
     def log(self) -> "PowerSeries":
-        """Series logarithm (principal branch at the constant term)."""
-        if abs(self._c[0]) <= _DIV_FLOOR:
+        """Series logarithm (principal branch at the constant term): the
+        integral of f'/f."""
+        c0 = self._c[0]
+        if abs(c0) <= _DIV_FLOOR:
             raise ZeroDivisionError("series log needs a nonzero constant term")
-        n = self._c.size
-        out = np.empty(n, dtype=np.complex128)
-        out[0] = cmath.log(self._c[0])
-        for k in range(n - 1):
-            acc = (k + 1) * self._c[k + 1]
-            if k:
-                gd = out[1 : k + 1] * np.arange(1, k + 1)
-                acc = acc - np.dot(gd, self._c[k:0:-1])
-            out[k + 1] = acc / ((k + 1) * self._c[0])
-        return PowerSeries(out)
+        if self.order == 0:
+            return PowerSeries([cmath.log(c0)])
+        return (self.derivative() / self.truncate(self.order - 1)).integral() + cmath.log(c0)
 
     # -- degree bookkeeping ----------------------------------------------
 

@@ -301,6 +301,18 @@ def test_schur_point_validation():
         SchurPoint(p=1.0, gamma=1.5, eta=0, rho=0)
 
 
+@pytest.mark.parametrize("value", [complex("nan"), complex("nanj"), math.inf,
+                                   complex(0.5, -math.inf), float("nan")])
+@pytest.mark.parametrize("name", ["gamma", "eta", "rho"])
+def test_schur_point_rejects_non_finite_parameters(name, value):
+    # abs(nan) > 1 is False, so a check written that way admitted NaN and
+    # caratheodory_from_schur returned NaN p2..p4.
+    params = dict(p=1.0, gamma=0.5, eta=0.5, rho=0.0)
+    params[name] = value
+    with pytest.raises(ValueError, match=f"\\|{name}\\| must be <= 1"):
+        SchurPoint(**params)
+
+
 def test_toeplitz_psd_on_genuine_kernel():
     assert toeplitz_psd_check([2, 2, 2, 2], 5)
 

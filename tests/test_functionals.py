@@ -141,6 +141,44 @@ def per_theta_convolution_values(member, thetas, zs):
     return np.abs(out)
 
 
+def hand_horner(member, zs):
+    """f(z)/z and f'(z) by one hand-written Horner pass over both series:
+    the reference for _series_on_grid, which evaluates PowerSeries."""
+    a = member.coeffs.coeffs
+    f_over_z = np.full(zs.shape, a[-1], dtype=np.complex128)
+    df = member.order * f_over_z
+    for n in range(member.order - 1, 0, -1):
+        f_over_z = f_over_z * zs + a[n]
+        df = df * zs + n * a[n]
+    return f_over_z, df
+
+
+def scaled_member(order, scale, seed):
+    """A member whose a_2..a_N have modulus up to about ``scale``."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(order + 1, dtype=np.complex128)
+    c[1] = 1.0
+    c[2:] = scale * np.exp(1j * rng.uniform(-math.pi, math.pi, order - 1)) * rng.uniform(
+        0.0, 1.0, order - 1)
+    return ClassMember(PowerSeries(c))
+
+
+def test_series_on_grid_is_the_hand_horner_bit_for_bit():
+    thetas, zs = margin_grid(360, 24, 96)
+    members = [build_extremal(n, order) for n in range(2, 9) for order in (8, 16, 32, 64)
+               if order >= n]
+    members += [member_from_measure(sample_measure(seed), order)
+                for seed in range(20) for order in (1, 2, 5, 16, 64)]
+    # Near the float limit some products overflow to inf or NaN, alike in both.
+    members += [scaled_member(order, scale, seed) for seed, scale in enumerate(
+        (1e300, 1e305, 1e307, 1e308, 1.7e308)) for order in (2, 3, 9)]
+    with np.errstate(all="ignore"):
+        for member in members:
+            got = functionals._series_on_grid(member, zs)
+            want = hand_horner(member, zs)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
 def per_theta_sufficient_check(member):
     thetas = np.linspace(-math.pi, math.pi, THETA_SAMPLES, endpoint=False)
     phi_t = _phi_values(np.exp(1j * thetas))
@@ -176,6 +214,18 @@ def oracle_member(name):
     return member_from_measure(sample_measure(order), order)
 
 
+def convolution_values(member, thetas, zs):
+    """The (T, Z) value array whose argmin the row search finds: one
+    full-length ``_row_values`` row per theta."""
+    phi_t = _phi_values(np.exp(1j * thetas))
+    f_over_z, df = functionals._series_on_grid(member, zs)
+    out = np.empty((thetas.size, zs.size))
+    row = np.empty(zs.size, dtype=np.complex128)
+    for pt, dst in zip(phi_t, out):
+        functionals._row_values(pt, f_over_z, df, row, dst)
+    return out
+
+
 def full_argmin(values):
     """(i, j, value) of numpy's C-order argmin over a (T, Z) value array."""
     i, j = np.unravel_index(np.argmin(values), values.shape)
@@ -192,12 +242,11 @@ def assert_same_argmin(got, want):
 @pytest.mark.parametrize("name", ORACLE_MEMBERS)
 def test_convolution_margin_matches_per_theta_oracle(name, grid, monkeypatch):
     member = oracle_member(name)
-    factored = functionals._convolution_values
     row_search = functionals._grid_argmin
-    coarse = []
+    searches = []
 
     def checked(m, thetas, zs):
-        vals = factored(m, thetas, zs)
+        vals = convolution_values(m, thetas, zs)
         ref = per_theta_convolution_values(m, thetas, zs)
         # Near the minimum the terms cancel to 1e-3 of their size or less, so
         # both sums carry rounding error relative to the terms, not to the
@@ -210,15 +259,13 @@ def test_convolution_margin_matches_per_theta_oracle(name, grid, monkeypatch):
         # argmin.
         found = row_search(m, thetas, zs)
         assert_same_argmin(found, full_argmin(checked(m, thetas, zs)))
-        coarse.append((thetas.size, zs.size))
+        searches.append((thetas.size, zs.size))
         return found
 
-    monkeypatch.setattr(functionals, "_convolution_values", checked)
     monkeypatch.setattr(functionals, "_grid_argmin", checked_search)
     margin = convolution_margin(member, *grid)
-    assert coarse == [(grid[0], grid[1] * grid[2])]
-    monkeypatch.setattr(functionals, "_convolution_values",
-                        per_theta_convolution_values)
+    # The coarse grid, then the 17 x (9 x 17) refinement around its argmin.
+    assert searches == [(grid[0], grid[1] * grid[2]), (17, 153)]
     monkeypatch.setattr(functionals, "_grid_argmin",
                         lambda m, thetas, zs: full_argmin(
                             per_theta_convolution_values(m, thetas, zs)))
@@ -249,7 +296,7 @@ def test_row_search_matches_full_argmin(name, blocks, extra, z_radii, z_angles):
     member = grid_member(name)
     thetas, zs = margin_grid(blocks * ROW_BLOCK + extra, z_radii, z_angles)
     assert_same_argmin(functionals._grid_argmin(member, thetas, zs),
-                       full_argmin(functionals._convolution_values(
+                       full_argmin(convolution_values(
                            member, thetas, zs)))
 
 
@@ -262,7 +309,7 @@ def test_row_search_evaluates_every_row_where_values_may_overflow(a2):
     thetas, zs = margin_grid(360, 4, 6)
     with np.errstate(all="ignore"):
         assert_same_argmin(functionals._grid_argmin(member, thetas, zs),
-                           full_argmin(functionals._convolution_values(
+                           full_argmin(convolution_values(
                                member, thetas, zs)))
 
 

@@ -338,6 +338,37 @@ def test_g_series_first_coefficients():
                        [0, 1, 0.25, 1 / 6, 5 / 96, 1 / 24], atol=1e-15)
 
 
+def termwise_phi_series(order):
+    """(1+z) built by hand, times 1/cos z: phi_series's former construction."""
+    one_plus_z = PowerSeries(np.concatenate([[1.0, 1.0], np.zeros(max(order - 1, 0))])
+                             if order >= 1 else [1.0])
+    return one_plus_z * (1.0 / elementary("cos", order))
+
+
+def termwise_g_series(order):
+    """Coefficient k of g is q_k/k: g_series's former hand-written integral."""
+    q = termwise_phi_series(order).coeffs
+    c = np.zeros(order + 1, dtype=np.complex128)
+    if order >= 1:
+        c[1:] = q[1:] / np.arange(1, order + 1)
+    return c
+
+
+def test_series_engine_gives_the_termwise_bits():
+    # phi_series and g_series run on PowerSeries arithmetic and integral();
+    # both keep the bits of the hand-written formulas.
+    for order in range(129):
+        assert (phi_series(order).coeffs.tobytes()
+                == termwise_phi_series(order).coeffs.tobytes()), order
+        assert g_series(order).coeffs.tobytes() == termwise_g_series(order).tobytes(), order
+
+
+def test_series_orders_below_zero_are_refused():
+    for build in (phi_series, g_series):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            build(-1)
+
+
 def test_g_series_derivative_identity():
     # z g'(z) = phi(z) - 1 at order 12.
     g = g_series(12)

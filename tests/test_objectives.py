@@ -70,6 +70,35 @@ def test_face_x1_matches_surface():
             assert abs(h3_bound_surface((p, 1.0, y)) - face_x1(p)) < 1e-13
 
 
+def printed_face_y0(p, x):
+    """The y = 0 face as printed: g1 plus the y = 0 value of g4."""
+    t, g1, _, _ = objectives._g_terms(p, x)
+    return (g1 + t * (144.0 * p * p + 288.0 * t * x) * (1.0 - x * x)) / 36864.0
+
+
+def printed_face_y1(p, x):
+    """The y = 1 face as printed: g1 + g2 + g3, with g4 vanishing."""
+    _, g1, g2, g3 = objectives._g_terms(p, x)
+    return (g1 + g2 + g3) / 36864.0
+
+
+def test_y_faces_are_the_printed_formulas_bit_for_bit():
+    # face_y0 and face_y1 are the surface at y = 0 and y = 1; the terms that
+    # vanish there add an exact zero, so the printed formulas' bits remain.
+    rng = np.random.default_rng(19)
+    corners = np.array([(p, x) for p in (0.0, 2.0) for x in (0.0, 1.0)])
+    p = np.concatenate([rng.uniform(0.0, 2.0, 20_000), corners[:, 0]])
+    x = np.concatenate([rng.uniform(0.0, 1.0, 20_000), corners[:, 1]])
+    for face, printed in ((objectives.face_y0, printed_face_y0),
+                          (objectives.face_y1, printed_face_y1)):
+        assert face(p, x).tobytes() == printed(p, x).tobytes()
+        # The sparse axes the grid scan passes broadcast alike.
+        assert (face(p[:300, None], x[None, :300]).tobytes()
+                == printed(p[:300, None], x[None, :300]).tobytes())
+        for a, b in zip(p[-2004:].tolist(), x[-2004:].tolist()):
+            assert face(a, b).hex() == printed(a, b).hex()
+
+
 def test_edges_match_surface():
     for p in np.linspace(0, 2, 41):
         assert abs(h3_bound_surface((p, 0.0, 0.0)) - edge_k1(p)) < 1e-14

@@ -232,6 +232,13 @@ def test_ellipse_needs_k_above_one():
         ellipse_parameters(1.0)
 
 
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_ellipse_rejects_non_finite_k(k):
+    # inf used to give (nan, nan, 0.0), and NaN three NaNs.
+    with pytest.raises(ValueError, match="finite k > 1"):
+        ellipse_parameters(k)
+
+
 def test_stp_constant_values():
     theta0, a0 = stp_constant(4096)
     assert abs(a0 - 0.402301) < 1e-3

@@ -328,6 +328,18 @@ def test_cli_negative_zero_round_trips(capsys):
     (["phi", "--z", "1e300j"], "--z is out of range: cos z overflows"),
     *[([command, "--seed", "-1"], "--seed must be a non-negative integer")
       for command in ("sample", "functionals", "convolution-check", "search", "report")],
+    # Each command names --order and the least it takes: a5 for the
+    # functionals and the search, a1 for the margin, a_n for f_n.
+    (["functionals", "--seed", "3", "--order", "0"], "functionals needs --order of at least 5"),
+    (["functionals", "--order", "4"], "functionals needs --order of at least 5"),
+    (["functionals", "--n", "2", "--order", "1"], "functionals needs --order of at least 5"),
+    (["functionals", "--n", "7", "--order", "6"], "functionals needs --order of at least 7"),
+    (["convolution-check", "--seed", "3", "--order", "0"],
+     "convolution-check needs --order of at least 1"),
+    (["convolution-check", "--n", "3", "--order", "2"],
+     "convolution-check needs --order of at least 3"),
+    (["search", "--order", "4"], "search needs --order of at least 5"),
+    (["extremal", "--n", "3", "--order", "1"], "extremal needs --order of at least 3"),
 ])
 def test_cli_rejects_out_of_range_values(capsys, argv, message):
     try:
@@ -342,6 +354,19 @@ def test_cli_rejects_out_of_range_values(capsys, argv, message):
         assert captured.err == f"error: {message}\n"
     else:
         assert captured.err.endswith(f"\nsecstar: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["functionals", "--order", "5"],
+    ["functionals", "--n", "7", "--order", "7"],
+    ["convolution-check", "--seed", "3", "--order", "1", "--theta-samples", "360"],
+    ["search", "--order", "5", "--samples", "50"],
+    ["extremal", "--n", "3", "--order", "3"],
+])
+def test_cli_accepts_the_least_order(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert canonical_json(json.loads(out)) == out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -134,13 +135,36 @@ def test_evaluate_against_closed_form():
 # -- properties -------------------------------------------------------------
 
 
+def recurrence_log(c):
+    """Series log by the recurrence k c0 l_k = k c_k - sum_{j<k} j l_j c_{k-j}:
+    the reference for PowerSeries.log, which integrates f'/f."""
+    out = np.empty(c.size, dtype=np.complex128)
+    out[0] = cmath.log(c[0])
+    for k in range(c.size - 1):
+        acc = (k + 1) * c[k + 1]
+        if k:
+            acc = acc - np.dot(out[1:k + 1] * np.arange(1, k + 1), c[k:0:-1])
+        out[k + 1] = acc / ((k + 1) * c[0])
+    return out
+
+
 def test_exp_log_roundtrip_batch():
     rng = np.random.default_rng(3)
     for _ in range(200):
         order = int(rng.integers(1, 25))
         f = random_series(rng, order, const=1.0)
-        back = f.log().exp()
+        log = f.log()
+        assert np.abs(log.coeffs - recurrence_log(f.coeffs)).max() < 1e-14
+        back = log.exp()
         assert np.abs(back.coeffs - f.coeffs).max() < 1e-12
+
+
+def test_log_of_constant_and_of_zero_constant():
+    assert PowerSeries([2.0]).log().coeffs.tolist() == [cmath.log(2.0)]
+    assert PowerSeries([-1.0, 0.5]).log().coeffs.tolist() == [cmath.log(-1.0), -0.5]
+    for c in ([0.0], [0.0, 1.0], [1e-301, 1.0]):
+        with pytest.raises(ZeroDivisionError, match="series log"):
+            PowerSeries(c).log()
 
 
 def test_derivative_of_integral_roundtrip():
