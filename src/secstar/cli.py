@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 # Each handler imports its own modules, so a process loads what its
 # subcommand runs.
-from .serialize import canonical_json, complex_pair, csv_lines
+from .serialize import canonical_json, csv_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,10 +104,10 @@ def _cmd_coeffs(args) -> int:
         s = generator.phi_series(args.order)
     else:
         s = generator.g_series(args.order)
-    coeffs = [complex_pair(c) for c in s.coeffs]
+    coeffs = s.coeffs.tolist()
     _emit(args, {"function": args.function, "order": args.order, "coeffs": coeffs},
           csv_header=["n", "re", "im"],
-          csv_rows=[[i, c[0], c[1]] for i, c in enumerate(coeffs)])
+          csv_rows=[[i, c.real, c.imag] for i, c in enumerate(coeffs)])
     return EXIT_OK
 
 
@@ -121,11 +121,8 @@ def _cmd_phi(args) -> int:
               csv_header=["theta", "re", "im"], csv_rows=points)
         return EXIT_OK
     if args.bounds:
-        b = generator.phi_global_bounds(args.samples or 4096)
-        _emit(args, {"re_min": b.re_min, "re_max": b.re_max,
-                     "im_abs_max": b.im_abs_max, "arg_abs_max": b.arg_abs_max},
-              csv_header=["re_min", "re_max", "im_abs_max", "arg_abs_max"],
-              csv_rows=[[b.re_min, b.re_max, b.im_abs_max, b.arg_abs_max]])
+        bounds = asdict(generator.phi_global_bounds(args.samples or 4096))
+        _emit(args, bounds, csv_header=list(bounds), csv_rows=[list(bounds.values())])
         return EXIT_OK
     if args.samples is not None:
         raise ValueError("--samples needs --bounds or --circle")
@@ -134,7 +131,7 @@ def _cmd_phi(args) -> int:
         val = generator.phi_eval(z)
     except OverflowError:
         raise ValueError("--z is out of range: cos z overflows") from None
-    _emit(args, {"z": complex_pair(z), "value": complex_pair(val)},
+    _emit(args, {"z": z, "value": val},
           csv_header=["z_re", "z_im", "re", "im"],
           csv_rows=[[z.real, z.imag, val.real, val.imag]])
     return EXIT_OK
@@ -144,18 +141,14 @@ def _cmd_extremal(args) -> int:
     from . import extremal
     _require_order(args, args.n)
     member = extremal.build_extremal(args.n, args.order)
-    coeffs = member.coeffs.coeffs
-    payload = {
-        "n": args.n,
-        "order": args.order,
-        "provenance": member.provenance,
-        "coefficients": [complex_pair(c) for c in coeffs],
-        "rational_guesses": [_rational_guess(c.real) for c in coeffs],
-    }
+    coeffs = member.coeffs.coeffs.tolist()
+    guesses = [_rational_guess(c.real) for c in coeffs]
+    payload = {"n": args.n, "order": args.order, "provenance": member.provenance,
+               "coefficients": coeffs, "rational_guesses": guesses}
     _emit(args, payload,
           csv_header=["k", "re", "im", "rational_guess"],
-          csv_rows=[[k, c.real, c.imag, _rational_guess(c.real)]
-                    for k, c in enumerate(coeffs)])
+          csv_rows=[[k, c.real, c.imag, guess]
+                    for k, (c, guess) in enumerate(zip(coeffs, guesses))])
     return EXIT_OK
 
 
@@ -178,12 +171,12 @@ def _cmd_sample(args) -> int:
                 "seed": seeds[i],
                 "atoms": [list(a) for a in zip(weights[i, :k].tolist(),
                                                angles[i, :k].tolist())],
-                "coefficients": [complex_pair(v) for v in c],
+                "coefficients": c,
             })
     _emit(args, out,
           csv_header=["seed", "atom_count", "a2_re", "a2_im"],
-          csv_rows=[[d["seed"], len(d["atoms"]), d["coefficients"][2][0],
-                     d["coefficients"][2][1]] for d in out])
+          csv_rows=[[d["seed"], len(d["atoms"]), d["coefficients"][2].real,
+                     d["coefficients"][2].imag] for d in out])
     return EXIT_OK
 
 
@@ -191,22 +184,8 @@ def _cmd_functionals(args) -> int:
     from . import functionals
     member = _member_from_args(args, 5)
     rep = functionals.compute_report(member, convolution=args.convolution)
-    payload = {
-        "provenance": member.provenance,
-        "order": member.order,
-        "a2": complex_pair(rep.a2),
-        "a3": complex_pair(rep.a3),
-        "a4": complex_pair(rep.a4),
-        "a5": complex_pair(rep.a5),
-        "h22": complex_pair(rep.h22),
-        "h31": complex_pair(rep.h31),
-        "t21": rep.t21,
-        "t31": rep.t31,
-        "fs": {f"{mu:g}": v for mu, v in rep.fs.items()},
-        "coeff_sum_margin": rep.coeff_sum_margin,
-        "convolution_margin": rep.convolution_margin,
-        "flags": rep.flags,
-    }
+    payload = {"provenance": member.provenance, "order": member.order, **asdict(rep)}
+    payload["fs"] = {f"{mu:g}": v for mu, v in rep.fs.items()}
     _emit(args, payload,
           csv_header=["name", "value"],
           csv_rows=[["t21", rep.t21], ["t31", rep.t31],
@@ -228,9 +207,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_radius(args) -> int:
     from . import radii
     res = radii.solve_radius(args.kind, args.param)
-    payload = {"kind": args.kind, "param": args.param, "r": res.r,
-               "residual": res.residual, "bracket": list(res.bracket),
-               "iterations": res.iterations}
+    payload = {"kind": args.kind, "param": args.param, **asdict(res)}
     _emit(args, payload,
           csv_header=["kind", "param", "r", "residual"],
           csv_rows=[[args.kind, args.param, res.r, res.residual]])
@@ -265,12 +242,7 @@ def _cmd_constants(args) -> int:
         paper = None if row is None else PUBLISHED[row][0]
         rows.append({"name": name, "computed": computed, "paper_value": paper,
                      "abs_diff": None if paper is None else abs(computed - paper)})
-    _emit(args, rows,
-          csv_header=["name", "computed", "paper_value", "abs_diff"],
-          csv_rows=[[r["name"], r["computed"],
-                     "" if r["paper_value"] is None else r["paper_value"],
-                     "" if r["abs_diff"] is None else r["abs_diff"]]
-                    for r in rows])
+    _emit(args, rows, csv_header=list(rows[0]), csv_rows=[list(r.values()) for r in rows])
     return EXIT_OK
 
 
@@ -308,12 +280,10 @@ def _cmd_report(args) -> int:
     from . import report as report_mod
     rows = report_mod.discrepancy_report(
         search_count=_member_count("--samples", args.samples or 2000), seed=args.seed)
-    _emit(args, [asdict(r) for r in rows],
-          csv_header=["constant_name", "paper_value", "computed_value",
-                      "abs_diff", "status", "tolerance", "expected_status"],
-          csv_rows=[[r.constant_name, r.paper_value, r.computed_value,
-                     r.abs_diff, r.status, r.tolerance, r.expected_status]
-                    for r in rows])
+    out = [asdict(r) for r in rows]
+    # The CSV table leaves out the last field, the free-text note.
+    _emit(args, out, csv_header=list(out[0])[:-1],
+          csv_rows=[list(r.values())[:-1] for r in out])
     return EXIT_OK if report_mod.report_ok(rows) else EXIT_VERIFY
 
 
@@ -418,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    order, seed, samples, tolerance = (getattr(args, flag, None)
-                                       for flag in ("order", "seed", "samples", "tolerance"))
+    order, seed, samples, tolerance, n = (
+        getattr(args, flag, None) for flag in ("order", "seed", "samples", "tolerance", "n"))
     if order is not None and not 0 <= order <= MAX_ORDER:
         ap.error(f"--order must lie in [0, {MAX_ORDER}]")
     if seed is not None and seed < 0:
@@ -428,6 +398,8 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--samples must be at least 1")
     if tolerance is not None and not tolerance >= 0:  # also rejects NaN
         ap.error("--tolerance must be a non-negative number")
+    if n is not None and not 2 <= n <= MAX_ORDER:  # f_n needs a_n, so n <= --order
+        ap.error(f"--n must lie in [2, {MAX_ORDER}]")
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, MemoryError) as exc:

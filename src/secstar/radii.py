@@ -101,6 +101,17 @@ def solve_radius(kind: str, param: float) -> RootResult:
     """
     if not math.isfinite(param):
         raise ValueError("radius parameter must be finite")
+    if kind == "m_starlike":
+        M = param
+        if M <= 0.0:
+            raise ValueError("M must be positive")
+        if M >= 0.5:
+            # (1-r)/cos r < 2M already holds on (0, 1); the equation branch
+            # would return r = 0 at M = 1/2 against the geometric condition.
+            return RootResult(r=1.0, residual=0.0, bracket=(1.0, 1.0), iterations=0)
+        # 1 - r - 2M cos r is the starlike_order equation at alpha = 2M
+        # (notes/decisions.md, section 5).
+        kind, param = "starlike_order", 2.0 * M
     if kind == "starlike_order":
         alpha = param
         if not 0.0 <= alpha < 1.0:
@@ -122,15 +133,6 @@ def solve_radius(kind: str, param: float) -> RootResult:
             lambda r: (1.0 - r) ** 2 - (r + alpha * (1.0 - r)) * math.cos(r)
             - r * (1.0 - r) * math.sin(r)
         )
-    if kind == "m_starlike":
-        M = param
-        if M <= 0.0:
-            raise ValueError("M must be positive")
-        if M >= 0.5:
-            # (1-r)/cos r < 2M already holds on (0, 1); the equation branch
-            # would return r = 0 at M = 1/2 against the geometric condition.
-            return RootResult(r=1.0, residual=0.0, bracket=(1.0, 1.0), iterations=0)
-        return _bisect_newton(lambda r: 1.0 - r - 2.0 * M * math.cos(r))
     raise ValueError(f"unknown radius kind {kind!r}")
 
 

@@ -2,8 +2,9 @@
 
 All numeric output is printed with 17 significant digits so parsing it back
 and re-serializing reproduces byte-identical text.  Dict key order is the
-construction order; complex values are emitted as [re, im] pairs by the
-callers before they reach this module.
+construction order.  Two rules are decided here and nowhere else: a complex
+value (Python's or numpy's) prints as its [re, im] pair, and None is an
+empty CSV cell.
 """
 
 from __future__ import annotations
@@ -12,11 +13,7 @@ import json
 import math
 from typing import Any
 
-__all__ = ["canonical_json", "csv_lines", "complex_pair"]
-
-
-def complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+__all__ = ["canonical_json", "csv_lines"]
 
 
 def _fmt_float(x: float) -> str:
@@ -34,6 +31,8 @@ def _emit(obj: Any) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
+    if isinstance(obj, complex):  # numpy's complex128 is a subclass
+        return _emit([float(obj.real), float(obj.imag)])
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -52,6 +51,8 @@ def canonical_json(obj: Any) -> str:
 def csv_lines(header: list[str], rows: list[list[Any]]) -> str:
     """Minimal CSV with the same float discipline as the JSON writer."""
     def cell(v: Any) -> str:
+        if v is None:
+            return ""
         if isinstance(v, float):
             return _fmt_float(v)
         if isinstance(v, bool):

@@ -65,6 +65,17 @@ def test_m_starlike_branches():
     assert solve_radius("m_starlike", 2.0).r == 1.0
 
 
+def test_m_starlike_is_starlike_order_at_twice_m():
+    # 1 - r - 2M cos r is (1 - r) - alpha cos r at alpha = 2M, and doubling
+    # is exact, so the radius is the same RootResult as the equation's own.
+    for M in np.linspace(0.0, 0.5, 181)[1:-1].tolist() + [1e-9, 0.5 - 1e-12]:
+        res = solve_radius("m_starlike", M)
+        assert repr(res) == repr(solve_radius("starlike_order", 2.0 * M))
+        assert repr(res) == repr(radii._bisect_newton(
+            lambda r: 1.0 - r - 2.0 * M * math.cos(r)))
+        assert 0.0 < res.r < 1.0 and res.iterations > 0
+
+
 def test_param_validation():
     for kind, bad in (("starlike_order", 1.0), ("mu_beta", 1.0),
                       ("convexity", -0.1), ("m_starlike", 0.0)):

@@ -340,6 +340,12 @@ def test_cli_negative_zero_round_trips(capsys):
      "convolution-check needs --order of at least 3"),
     (["search", "--order", "4"], "search needs --order of at least 5"),
     (["extremal", "--n", "3", "--order", "1"], "extremal needs --order of at least 3"),
+    # --n has its own range, [2, MAX_ORDER], and the parser names it.
+    (["functionals", "--n", "100"], "--n must lie in [2, 64]"),
+    (["extremal", "--n", "65", "--order", "64"], "--n must lie in [2, 64]"),
+    (["functionals", "--n", "1"], "--n must lie in [2, 64]"),
+    (["convolution-check", "--n", "0"], "--n must lie in [2, 64]"),
+    (["extremal", "--n", "-3"], "--n must lie in [2, 64]"),
 ])
 def test_cli_rejects_out_of_range_values(capsys, argv, message):
     try:
@@ -362,6 +368,7 @@ def test_cli_rejects_out_of_range_values(capsys, argv, message):
     ["convolution-check", "--seed", "3", "--order", "1", "--theta-samples", "360"],
     ["search", "--order", "5", "--samples", "50"],
     ["extremal", "--n", "3", "--order", "3"],
+    ["extremal", "--n", "64", "--order", "64"],
 ])
 def test_cli_accepts_the_least_order(capsys, argv):
     code, out = run_cli(capsys, argv)
