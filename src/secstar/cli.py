@@ -76,6 +76,14 @@ def _require_order(args, least: int) -> None:
         raise ValueError(f"{args.command} needs --order of at least {least}")
 
 
+def _samples(args, what: str, least: int) -> int:
+    """--samples, 4096 when omitted; ``what`` names the subcommand and mode."""
+    samples = args.samples or 4096
+    if samples < least:
+        raise ValueError(f"{what} needs --samples of at least {least}")
+    return samples
+
+
 def _member_from_args(args, least_order: int):
     if args.n is not None and (args.seed is not None or args.max_atoms is not None):
         raise ValueError("--n takes no --seed or --max-atoms")
@@ -114,14 +122,16 @@ def _cmd_coeffs(args) -> int:
 def _cmd_phi(args) -> int:
     from . import generator
     if args.circle is not None:
-        sample = generator.sample_circle(args.circle, args.samples or 4096)
+        sample = generator.sample_circle(
+            args.circle, _samples(args, "phi --circle", generator.CIRCLE_MIN_SAMPLES))
         points = [[float(t), v.real, v.imag]
                   for t, v in zip(sample.thetas, sample.values)]
         _emit(args, {"radius": sample.radius, "count": sample.count, "points": points},
               csv_header=["theta", "re", "im"], csv_rows=points)
         return EXIT_OK
     if args.bounds:
-        bounds = asdict(generator.phi_global_bounds(args.samples or 4096))
+        bounds = asdict(generator.phi_global_bounds(
+            _samples(args, "phi --bounds", generator.BOUNDS_MIN_SAMPLES)))
         _emit(args, bounds, csv_header=list(bounds), csv_rows=[list(bounds.values())])
         return EXIT_OK
     if args.samples is not None:
@@ -219,6 +229,8 @@ def _cmd_radius(args) -> int:
 def _cmd_constants(args) -> int:
     from . import generator, radii, subordination
     from .published import PUBLISHED
+    samples = _samples(args, "constants",
+                       max(radii.STP_MIN_SAMPLES, generator.BOUNDS_MIN_SAMPLES))
     # (name, computed value, report row whose published value applies)
     entries = [(rep.name, rep.computed, rep.name)
                for rep in subordination.gamma_constants().values()]
@@ -233,9 +245,9 @@ def _cmd_constants(args) -> int:
     inc = radii.inclusion_constants()
     entries += [("kst_threshold", inc.kst_threshold, "kst_threshold"),
                 ("mu_beta_threshold", inc.mu_beta_threshold, None)]
-    t0, a0 = radii.stp_constant(args.samples or 4096)
+    t0, a0 = radii.stp_constant(samples)
     entries += [("stp_theta0", t0, "stp_theta0"), ("stp_a0", a0, "stp_a0")]
-    b = generator.phi_global_bounds(args.samples or 4096)
+    b = generator.phi_global_bounds(samples)
     entries.append(("gamma0", b.im_abs_max, "gamma0"))
     rows = []
     for name, computed, row in entries:
@@ -335,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "phi", _cmd_phi, "evaluate the generator or its bounds",
                     ["samples", "csv"])
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--z", help="evaluation point, e.g. '0.5+0.25j' (default 0)")
+    mode.add_argument("--z", help="evaluation point, e.g. '0.5+0.25j' (default 0); "
+                                  "write a value that starts with '-' as --z=-0.3-0.7j")
     mode.add_argument("--bounds", action="store_true",
                       help="global image bounds instead of a point value")
     mode.add_argument("--circle", type=float,

@@ -88,6 +88,11 @@ class PhiBounds:
     arg_abs_max: float
 
 
+#: Fewest boundary samples phi_global_bounds and sample_circle take.
+BOUNDS_MIN_SAMPLES = 256
+CIRCLE_MIN_SAMPLES = 8
+
+
 def phi_global_bounds(samples: int = 4096) -> PhiBounds:
     """Bounds of Re, |Im| and |arg| of phi over the disk.
 
@@ -95,8 +100,8 @@ def phi_global_bounds(samples: int = 4096) -> PhiBounds:
     imaginary and argument bounds are estimated on the boundary circle
     (where both maxima live) and sharpened by golden-section refinement.
     """
-    if samples < 256:
-        raise ValueError("need at least 256 boundary samples")
+    if samples < BOUNDS_MIN_SAMPLES:
+        raise ValueError(f"need at least {BOUNDS_MIN_SAMPLES} boundary samples")
     theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
     w = _phi_values(np.exp(1j * theta))
 
@@ -139,8 +144,8 @@ class CircleSample:
 def sample_circle(radius: float, count: int) -> CircleSample:
     if not 0.0 < radius <= 1.0:
         raise ValueError("radius must lie in (0, 1]")
-    if count < 8:
-        raise ValueError("need at least 8 samples")
+    if count < CIRCLE_MIN_SAMPLES:
+        raise ValueError(f"need at least {CIRCLE_MIN_SAMPLES} samples")
     theta = np.linspace(-math.pi, math.pi, count, endpoint=False)
     return CircleSample(radius=radius, thetas=theta,
                         values=_phi_values(radius * np.exp(1j * theta)))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .scan import refine_max
+from .scan import SLACK, refine_max
 
 __all__ = [
     "RootResult",
@@ -29,6 +29,8 @@ __all__ = [
 TWO_SEC_ONE = 2.0 / math.cos(1.0)
 #: Cells of the sign-change scan that brackets each root in [0, 1].
 SCAN_CELLS = 2048
+_SCAN_NODES = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
+_SCAN_XS = _SCAN_NODES.tolist()
 
 
 @dataclass(frozen=True)
@@ -41,25 +43,54 @@ class RootResult:
     iterations: int
 
 
-def _bisect_newton(fn: Callable[[float], float]) -> RootResult:
+def _bisect_newton(fn: Callable[[float], float],
+                   values: np.ndarray | None = None) -> RootResult:
     """Smallest root of fn in [0, 1]: scan for a sign change, bisect, polish.
 
     The scan stops at the first cell whose end values differ in sign bit.
+    ``values``, if given, are array estimates of fn at the scan's nodes.  A
+    node's sign then comes from its estimate when that is finite and clears
+    0 by more than ``scan.SLACK * (1 + |v|)``, and from fn otherwise; the
+    scan visits only the cells whose ends are not both decided alike.
+    Without ``values`` every node's sign comes from fn, node by node.
     """
-    xs = np.linspace(0.0, 1.0, SCAN_CELLS + 1).tolist()
+    xs = _SCAN_XS
     f0 = fn(xs[0])
     if abs(f0) < 1e-15:
         return RootResult(r=0.0, residual=abs(f0), bracket=(0.0, 0.0), iterations=0)
-    a, fa = xs[0], f0
-    for b in xs[1:]:
-        fb = fn(b)
-        if math.copysign(1.0, fa) != math.copysign(1.0, fb):
-            break
-        a, fa = b, fb
+    known = {0: f0}
+
+    def exact(j: int) -> float:
+        if j not in known:
+            known[j] = fn(xs[j])
+        return known[j]
+
+    if values is None:
+        decided = negative = np.zeros(len(xs), dtype=bool)
     else:
+        values = np.asarray(values, dtype=float)
+        magnitude = np.abs(values)
+        decided = magnitude > SLACK * (1.0 + magnitude)  # False for NaN and inf
+        negative = values < 0.0
+    # A cell can hold the first sign change only if an end is undecided or
+    # its ends are decided apart.
+    cells = np.flatnonzero(~(decided[:-1] & decided[1:])
+                           | (negative[:-1] != negative[1:])).tolist()
+
+    def sign_bit(j: int) -> bool:
+        if decided[j]:
+            return bool(negative[j])
+        return math.copysign(1.0, exact(j)) < 0.0
+
+    for i in cells:
+        if sign_bit(i) != sign_bit(i + 1):
+            break
+    else:
+        fa = exact(SCAN_CELLS)
         if abs(fa) < 1e-15:
             return RootResult(r=1.0, residual=abs(fa), bracket=(1.0, 1.0), iterations=0)
         raise ValueError(f"no sign change in [0, 1]: f(0) = {f0:.6g}, f(1) = {fa:.6g}")
+    a, fa, b = xs[i], exact(i), xs[i + 1]
     bracket = (a, b)
     iters = 0
     for _ in range(80):
@@ -93,6 +124,27 @@ def _bisect_newton(fn: Callable[[float], float]) -> RootResult:
                       iterations=iters)
 
 
+# The radius equations; each radius is the smallest root in [0, 1].  With
+# xp=math they are the scalar objectives of the root solve, and with xp=np
+# the same expressions give its scan's estimates in one array pass.
+
+
+def _starlike_order(r, alpha: float, xp=math):
+    return (1.0 - r) - alpha * xp.cos(r)
+
+
+def _mu_beta(r, beta: float, xp=math):
+    return 1.0 + r - beta * xp.cos(r)
+
+
+def _convexity(r, alpha: float, xp=math):
+    return (1.0 - r) ** 2 - (r + alpha * (1.0 - r)) * xp.cos(r) - r * (1.0 - r) * xp.sin(r)
+
+
+def _solve(equation, param: float) -> RootResult:
+    return _bisect_newton(lambda r: equation(r, param), equation(_SCAN_NODES, param, np))
+
+
 def solve_radius(kind: str, param: float) -> RootResult:
     """Radius of the named subclass property.
 
@@ -113,26 +165,20 @@ def solve_radius(kind: str, param: float) -> RootResult:
         # (notes/decisions.md, section 5).
         kind, param = "starlike_order", 2.0 * M
     if kind == "starlike_order":
-        alpha = param
-        if not 0.0 <= alpha < 1.0:
+        if not 0.0 <= param < 1.0:
             raise ValueError("starlike order must lie in [0, 1)")
-        return _bisect_newton(lambda r: (1.0 - r) - alpha * math.cos(r))
+        return _solve(_starlike_order, param)
     if kind == "mu_beta":
-        beta = param
-        if beta <= 1.0:
+        if param <= 1.0:
             raise ValueError("beta must exceed 1")
-        if beta >= TWO_SEC_ONE:
+        if param >= TWO_SEC_ONE:
             # (1+r)/cos r stays below beta on the whole disk.
             return RootResult(r=1.0, residual=0.0, bracket=(1.0, 1.0), iterations=0)
-        return _bisect_newton(lambda r: 1.0 + r - beta * math.cos(r))
+        return _solve(_mu_beta, param)
     if kind == "convexity":
-        alpha = param
-        if not 0.0 <= alpha < 1.0:
+        if not 0.0 <= param < 1.0:
             raise ValueError("convexity order must lie in [0, 1)")
-        return _bisect_newton(
-            lambda r: (1.0 - r) ** 2 - (r + alpha * (1.0 - r)) * math.cos(r)
-            - r * (1.0 - r) * math.sin(r)
-        )
+        return _solve(_convexity, param)
     raise ValueError(f"unknown radius kind {kind!r}")
 
 
@@ -156,17 +202,27 @@ def ellipse_parameters(k: float) -> tuple[float, float, float]:
     return k * k / den, k / den, 1.0 / math.sqrt(den)
 
 
+def _stp_terms(theta, xp=math):
+    """Numerator and denominator of the parabolic-inclusion objective."""
+    x = xp.cos(theta)
+    y = xp.sin(theta)
+    num = ((x + 1.0) * xp.sinh(y) * xp.sin(x)
+           + y * xp.cos(x) * xp.cosh(y)) ** 2
+    den = 2.0 * (xp.cos(2.0 * x) + xp.cosh(2.0 * y)) * (
+        (x + 1.0) * xp.cos(x) * xp.cosh(y)
+        - y * xp.sinh(y) * xp.sin(x))
+    return num, den
+
+
 def _stp_objective(theta: float) -> float:
-    x = math.cos(theta)
-    y = math.sin(theta)
-    num = ((x + 1.0) * math.sinh(y) * math.sin(x)
-           + y * math.cos(x) * math.cosh(y)) ** 2
-    den = 2.0 * (math.cos(2.0 * x) + math.cosh(2.0 * y)) * (
-        (x + 1.0) * math.cos(x) * math.cosh(y)
-        - y * math.sinh(y) * math.sin(x))
+    num, den = _stp_terms(theta)
     if den == 0.0:
         return 0.0
     return num / den
+
+
+#: Fewest grid samples stp_constant takes.
+STP_MIN_SAMPLES = 1024
 
 
 def stp_constant(samples: int = 4096) -> tuple[float, float]:
@@ -175,8 +231,10 @@ def stp_constant(samples: int = 4096) -> tuple[float, float]:
     The objective is even in theta and has a removable 0/0 point at theta =
     pi, so the scan covers (0, pi) open.
     """
-    if samples < 1024:
-        raise ValueError("need at least 1024 samples")
+    if samples < STP_MIN_SAMPLES:
+        raise ValueError(f"need at least {STP_MIN_SAMPLES} samples")
     thetas = np.linspace(0.0, math.pi, samples + 2)[1:-1]
-    theta0, a0 = refine_max(_stp_objective, thetas)
+    num, den = _stp_terms(thetas, np)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta0, a0 = refine_max(_stp_objective, thetas, num / den)
     return theta0, a0

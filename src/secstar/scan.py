@@ -18,6 +18,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Golden section stops once its bracket is TOL wide, or after MAX_ITER steps.
 TOL = 1e-12
 MAX_ITER = 200
+#: An array estimate of a grid value decides a comparison only when it
+#: clears the other side by more than SLACK * (1 + |v|); the scalar
+#: objective settles closer calls (notes/decisions.md, section 25).
+SLACK = 1e-9
 
 __all__ = ["golden_max", "golden_min", "refine_max", "refine_min", "local_minima", "top_k",
            "NelderMeadResult", "nelder_mead"]
@@ -50,17 +54,71 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float
     return x, -v
 
 
+def _sure(values: np.ndarray) -> np.ndarray:
+    """Grid values that may decide a comparison: finite, and not -0.0."""
+    return np.isfinite(values) & ~((values == 0.0) & np.signbit(values))
+
+
+def _grid_values(f: Callable[[float], float], xs: np.ndarray,
+                values: Sequence[float] | None):
+    """(values, widths, exact) for a scan of ``f`` on the grid ``xs``.
+
+    Without ``values`` the grid values are ``f`` at each node, node by node
+    on ``xs.tolist()``, and every width is 0.  With them, they are estimates
+    from an array pass, each with the width SLACK * (1 + |v|).  An estimate
+    must lie within half its width of ``f`` at its node, and be NaN or inf
+    where ``f`` is not finite.  ``exact(j)`` is ``f`` at node j, memoised.
+    A scan lets a grid value decide a comparison only when it is sure
+    (finite, not -0.0) and clears the other side by more than both widths;
+    ``exact`` settles the close calls.
+    """
+    if values is None:
+        exact_values = [f(x) for x in xs.tolist()]
+        return (np.asarray(exact_values, dtype=float), np.zeros(xs.size),
+                exact_values.__getitem__)
+    known: dict[int, float] = {}
+
+    def exact(j: int) -> float:
+        if j not in known:
+            known[j] = f(float(xs[j]))
+        return known[j]
+
+    values = np.asarray(values, dtype=float)
+    return values, SLACK * (1.0 + np.abs(values)), exact
+
+
+def _argmax(values: np.ndarray, widths: np.ndarray, exact) -> int:
+    """The node ``np.argmax`` picks among the exact values: the first NaN,
+    else the first largest.  Only the candidates within both widths of the
+    top sure value, and the nodes that are not sure, are evaluated exactly.
+    """
+    sure = _sure(values)
+    candidates = ~sure
+    if sure.any():
+        top = int(np.argmax(np.where(sure, values, -np.inf)))
+        with np.errstate(invalid="ignore"):
+            candidates |= values + widths >= values[top] - widths[top]
+    nodes = np.flatnonzero(candidates).tolist()
+    return nodes[int(np.argmax([exact(j) for j in nodes]))]
+
+
 def refine_max(f: Callable[[float], float], xs: Sequence[float],
                values: Sequence[float] | None = None) -> tuple[float, float]:
-    """Refine the best grid sample by golden section on its bracketing cell."""
+    """Refine the best grid sample by golden section on its bracketing cell.
+
+    ``values``, if given, are array estimates of ``f`` on ``xs`` (see
+    ``_grid_values``); the best node and the returned numbers are those of
+    the scan without them.
+    """
     xs = np.asarray(xs, dtype=float)
-    vals = np.asarray([f(x) for x in xs.tolist()] if values is None else values)
-    i = int(np.argmax(vals))
+    values, widths, exact = _grid_values(f, xs, values)
+    i = _argmax(values, widths, exact)
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
     x, v = golden_max(f, lo, hi)
-    if vals[i] > v:
-        return float(xs[i]), float(vals[i])
+    best = exact(i)
+    if best > v:
+        return float(xs[i]), float(best)
     return x, v
 
 
@@ -71,17 +129,29 @@ def refine_min(f: Callable[[float], float], xs: Sequence[float],
     return x, -v
 
 
-def local_minima(f: Callable[[float], float],
-                 xs: Sequence[float]) -> list[tuple[float, float]]:
-    """All interior local minima of f sampled on the grid, refined."""
+def local_minima(f: Callable[[float], float], xs: Sequence[float],
+                 values: Sequence[float] | None = None) -> list[tuple[float, float]]:
+    """All interior local minima of f sampled on the grid, refined.
+
+    ``values`` as in ``refine_max``: a neighbour pair whose estimates are
+    within both widths of each other is compared on its exact values.
+    """
     xs = np.asarray(xs, dtype=float)
-    vals = np.asarray([f(x) for x in xs.tolist()])
+    values, widths, exact = _grid_values(f, xs, values)
+    sure = _sure(values)
+    with np.errstate(invalid="ignore"):
+        clear = (sure[:-1] & sure[1:]
+                 & (np.abs(np.diff(values)) > widths[:-1] + widths[1:]))
+    falls = values[1:] < values[:-1]      # pair j: v[j+1] < v[j]
+    rises = values[:-1] <= values[1:]     # pair j: v[j] <= v[j+1]
+    for j in np.flatnonzero(~clear).tolist():
+        a, b = exact(j), exact(j + 1)
+        falls[j], rises[j] = b < a, a <= b
     out = []
-    for i in range(1, xs.size - 1):
-        # <= on the right so a dip straddled by two equal samples still counts.
-        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
-            x, v = golden_min(f, xs[i - 1], xs[i + 1])
-            out.append((x, v))
+    # <= on the right so a dip straddled by two equal samples still counts.
+    for i in (np.flatnonzero(falls[:-1] & rises[1:]) + 1).tolist():
+        x, v = golden_min(f, xs[i - 1], xs[i + 1])
+        out.append((x, v))
     return out
 
 

@@ -106,22 +106,27 @@ def subordination_threshold(target: str, A: float | None = None,
 # -- parabolic containment constant ---------------------------------------
 
 
-def _parabola_uv(theta: float, m: float = 1.0) -> tuple[float, float]:
-    x = math.cos(theta)
-    y = math.sin(theta)
-    D = math.cos(2.0 * x) + math.cosh(2.0 * y)
-    u = (2.0 * ((x + 1.0) * math.cos(x) * math.cosh(y)
-                - y * math.sinh(y) * math.sin(x)) / D
-         + m * (0.5 + (x * math.sin(2.0 * x) - y * math.sinh(2.0 * y)) / D))
-    v = (2.0 * ((x + 1.0) * math.sinh(y) * math.sin(x)
-                + y * math.cos(x) * math.cosh(y)) / D
+# The circle objectives below take xp=math as the scalar objectives of the
+# scans and their refinements, and xp=np for the scans' estimates in one
+# array pass (scan.SLACK).
+
+
+def _parabola_uv(theta, m: float = 1.0, xp=math):
+    x = xp.cos(theta)
+    y = xp.sin(theta)
+    D = xp.cos(2.0 * x) + xp.cosh(2.0 * y)
+    u = (2.0 * ((x + 1.0) * xp.cos(x) * xp.cosh(y)
+                - y * xp.sinh(y) * xp.sin(x)) / D
+         + m * (0.5 + (x * xp.sin(2.0 * x) - y * xp.sinh(2.0 * y)) / D))
+    v = (2.0 * ((x + 1.0) * xp.sinh(y) * xp.sin(x)
+                + y * xp.cos(x) * xp.cosh(y)) / D
          + m * (y / ((x + 1.0) ** 2 + y * y)
-                + (y * math.sin(2.0 * x) + x * math.sinh(2.0 * y)) / D))
+                + (y * xp.sin(2.0 * x) + x * xp.sinh(2.0 * y)) / D))
     return u, v
 
 
-def _parabola_objective(theta: float) -> float:
-    u, v = _parabola_uv(theta)
+def _parabola_objective(theta, xp=math):
+    u, v = _parabola_uv(theta, xp=xp)
     return v * v - 2.0 * u
 
 
@@ -148,7 +153,7 @@ class ParabolaResult:
 def parabola_b0() -> ParabolaResult:
     # Open grid: v has poles at theta = +-pi.
     thetas = np.linspace(-math.pi, math.pi, PARABOLA_SAMPLES + 2)[1:-1]
-    minima = local_minima(_parabola_objective, thetas)
+    minima = local_minima(_parabola_objective, thetas, _parabola_objective(thetas, np))
     if not minima:
         raise RuntimeError("no interior local minima found (bug)")
     global_theta, global_min = min(minima, key=lambda tv: tv[1])
@@ -171,12 +176,25 @@ def parabola_b0() -> ParabolaResult:
 # -- assorted circle constants ---------------------------------------------
 
 
-def _log_derivative_re(theta: float) -> float:
+def _log_derivative_re(theta, xp=math):
     # Re(z phi'/phi) on |z| = 1: 1/2 + (x sin 2x - y sinh 2y)/(cos 2x + cosh 2y).
-    x = math.cos(theta)
-    y = math.sin(theta)
-    return 0.5 + (x * math.sin(2.0 * x) - y * math.sinh(2.0 * y)) / (
-        math.cos(2.0 * x) + math.cosh(2.0 * y))
+    x = xp.cos(theta)
+    y = xp.sin(theta)
+    return 0.5 + (x * xp.sin(2.0 * x) - y * xp.sinh(2.0 * y)) / (
+        xp.cos(2.0 * x) + xp.cosh(2.0 * y))
+
+
+# |cos| and |sin| at e^{i theta}.  Their scans' estimates are np.abs(np.cos(w))
+# and np.abs(np.sin(w)) on w = e^{i theta}: not these expressions, only close
+# to them.
+def _abs_cos(t: float) -> float:
+    return abs(complex(math.cos(math.cos(t)) * math.cosh(math.sin(t)),
+                       -math.sin(math.cos(t)) * math.sinh(math.sin(t))))
+
+
+def _abs_sin(t: float) -> float:
+    return abs(complex(math.sin(math.cos(t)) * math.cosh(math.sin(t)),
+                       math.cos(math.cos(t)) * math.sinh(math.sin(t))))
 
 
 def misc_constants() -> dict[str, float]:
@@ -188,18 +206,10 @@ def misc_constants() -> dict[str, float]:
     returned so reports can tabulate them side by side.
     """
     thetas = np.linspace(-math.pi, math.pi, MISC_SAMPLES, endpoint=False)
-
-    def abs_cos(t: float) -> float:
-        return abs(complex(math.cos(math.cos(t)) * math.cosh(math.sin(t)),
-                           -math.sin(math.cos(t)) * math.sinh(math.sin(t))))
-
-    def abs_sin(t: float) -> float:
-        return abs(complex(math.sin(math.cos(t)) * math.cosh(math.sin(t)),
-                           math.cos(math.cos(t)) * math.sinh(math.sin(t))))
-
-    _, cos_min = refine_min(abs_cos, thetas)
-    _, sin_max = refine_max(abs_sin, thetas)
-    _, logderiv_min = refine_min(_log_derivative_re, thetas)
+    w = np.exp(1j * thetas)
+    _, cos_min = refine_min(_abs_cos, thetas, np.abs(np.cos(w)))
+    _, sin_max = refine_max(_abs_sin, thetas, np.abs(np.sin(w)))
+    _, logderiv_min = refine_min(_log_derivative_re, thetas, _log_derivative_re(thetas, np))
     return {
         "k2": 1.0 / math.cosh(2.0),
         "conv_sufficient": 0.5 + (2.0 + math.sinh(1.0)) / math.cos(1.0),

@@ -221,3 +221,39 @@ def test_cli_rejects_flags_the_subcommand_does_not_take(argv):
 def test_cli_phi_rejects_a_point_that_is_not_a_finite_complex_number(z):
     message = "error: --z must be a finite complex number\n"
     assert run(["phi", f"--z={z}"]) == (2, "", message)
+
+
+# Each --samples floor is a usage error that names the flag, the subcommand
+# (and its mode) and the floor; the floor itself is accepted.
+@pytest.mark.parametrize("argv,what,floor", [
+    (["constants", "--samples", "1000"], "constants", 1024),
+    (["constants", "--samples", "1023", "--csv"], "constants", 1024),
+    (["constants", "--samples", "300"], "constants", 1024),
+    (["phi", "--bounds", "--samples", "100"], "phi --bounds", 256),
+    (["phi", "--bounds", "--samples", "255", "--csv"], "phi --bounds", 256),
+    (["phi", "--circle", "0.5", "--samples", "4"], "phi --circle", 8),
+    (["phi", "--circle", "1", "--samples", "7", "--csv"], "phi --circle", 8),
+])
+def test_cli_samples_floor_names_the_flag(argv, what, floor):
+    assert run(argv) == (2, "", f"error: {what} needs --samples of at least {floor}\n")
+    at_floor = [str(floor) if a == argv[argv.index("--samples") + 1] else a for a in argv]
+    code, out, err = run(at_floor)
+    assert (code, err) == (0, "") and out
+
+
+def test_cli_phi_takes_a_negative_point_after_an_equals_sign():
+    from secstar.generator import phi_eval
+    code, out, err = run(["phi", "--z=-0.3-0.7j"])
+    assert (code, err) == (0, "")
+    z = complex(-0.3, -0.7)
+    assert out == canonical_json({"z": z, "value": phi_eval(z)})
+    # Without the equals sign argparse reads the value as an option.
+    code, out, err = run(["phi", "--z", "-0.3-0.7j"])
+    assert (code, out) == (2, "") and "--z: expected one argument" in err
+
+
+def test_cli_phi_help_shows_the_equals_form_of_z():
+    code, out, err = run(["phi", "--help"])
+    assert code == 0 and err == ""
+    # argparse may wrap the help text at a space or a hyphen.
+    assert "--z=-0.3-0.7j" in "".join(out.split())

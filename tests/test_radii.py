@@ -105,8 +105,12 @@ def test_non_finite_param_rejected(kind, param):
         solve_radius(kind, param)
 
 
-def float64_node_bisect_newton(fn):
-    """The root solve with its sign-change scan on ``np.float64`` nodes."""
+def float64_node_bisect_newton(fn, values=None):
+    """The root solve with its sign-change scan on ``np.float64`` nodes.
+
+    It ignores the array ``values`` that ``solve_radius`` passes, so it scans
+    fn's own values at every node.
+    """
     xs = np.linspace(0.0, 1.0, radii.SCAN_CELLS + 1)
     vals = np.array([fn(x) for x in xs])
     if abs(vals[0]) < 1e-15:
