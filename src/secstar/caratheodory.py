@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .extremal import ClassMember
-from .generator import phi_series
+from .generator import _phi_values, phi_series
 from .series import PowerSeries, compose_rows, div_rows, lift_rows
 
 __all__ = [
@@ -393,8 +393,7 @@ def log_derivative_rows(weights: np.ndarray, x: np.ndarray, radius: float,
         raise ValueError("radius must lie in (0, 1)")
     z = radius * np.exp(1j * np.linspace(-math.pi, math.pi, count, endpoint=False))
     p = _kernel_rows(weights, x, z)
-    omega = (p - 1.0) / (p + 1.0)
-    return (1.0 + omega) / np.cos(omega)
+    return _phi_values((p - 1.0) / (p + 1.0))
 
 
 def p_series_from_measure(m: HerglotzMeasure, order: int) -> PowerSeries:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scan import golden_max, refine_max
+from .scan import refine_max
 from .series import PowerSeries, elementary
 
 __all__ = [
@@ -110,20 +110,15 @@ def phi_global_bounds(samples: int = 4096) -> PhiBounds:
 
     _, im_max = refine_max(im_abs, theta, np.abs(w.imag))
 
-    # |arg phi| is supremal toward theta = +-pi where the curve meets 0;
-    # keep the refinement bracket away from the zero itself.
+    # |arg phi| is supremal toward theta = +-pi where the curve meets 0.
+    # The last node is pi - 2 pi/samples, so no bracket reaches the zero.
     def arg_abs(t: float) -> float:
         val = phi_eval(cmath.exp(1j * t))
         if val == 0:
             return 0.0
         return abs(cmath.phase(val))
 
-    args = np.abs(np.angle(np.where(w == 0, 1.0, w)))
-    i = int(np.argmax(args))
-    lo = theta[max(i - 1, 0)]
-    hi = min(theta[min(i + 1, samples - 1)], math.pi - 1e-13)
-    _, arg_max = golden_max(arg_abs, lo, hi)
-    arg_max = max(arg_max, float(args[i]))
+    _, arg_max = refine_max(arg_abs, theta, np.abs(np.angle(np.where(w == 0, 1.0, w))))
 
     return PhiBounds(re_min=0.0, re_max=RE_MAX, im_abs_max=im_max, arg_abs_max=arg_max)
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .scan import SLACK, refine_max
+from .scan import refine_max, sign_change
 
 __all__ = [
     "RootResult",
@@ -47,45 +47,16 @@ def _bisect_newton(fn: Callable[[float], float],
                    values: np.ndarray | None = None) -> RootResult:
     """Smallest root of fn in [0, 1]: scan for a sign change, bisect, polish.
 
-    The scan stops at the first cell whose end values differ in sign bit.
-    ``values``, if given, are array estimates of fn at the scan's nodes.  A
-    node's sign then comes from its estimate when that is finite and clears
-    0 by more than ``scan.SLACK * (1 + |v|)``, and from fn otherwise; the
-    scan visits only the cells whose ends are not both decided alike.
-    Without ``values`` every node's sign comes from fn, node by node.
+    The scan (``scan.sign_change``) stops at the first cell whose end values
+    differ in sign bit.  ``values``, if given, are array estimates of fn at
+    the scan's nodes; without them every node's sign comes from fn.
     """
     xs = _SCAN_XS
-    f0 = fn(xs[0])
+    i, exact = sign_change(fn, xs, values)
+    f0 = exact(0)
     if abs(f0) < 1e-15:
         return RootResult(r=0.0, residual=abs(f0), bracket=(0.0, 0.0), iterations=0)
-    known = {0: f0}
-
-    def exact(j: int) -> float:
-        if j not in known:
-            known[j] = fn(xs[j])
-        return known[j]
-
-    if values is None:
-        decided = negative = np.zeros(len(xs), dtype=bool)
-    else:
-        values = np.asarray(values, dtype=float)
-        magnitude = np.abs(values)
-        decided = magnitude > SLACK * (1.0 + magnitude)  # False for NaN and inf
-        negative = values < 0.0
-    # A cell can hold the first sign change only if an end is undecided or
-    # its ends are decided apart.
-    cells = np.flatnonzero(~(decided[:-1] & decided[1:])
-                           | (negative[:-1] != negative[1:])).tolist()
-
-    def sign_bit(j: int) -> bool:
-        if decided[j]:
-            return bool(negative[j])
-        return math.copysign(1.0, exact(j)) < 0.0
-
-    for i in cells:
-        if sign_bit(i) != sign_bit(i + 1):
-            break
-    else:
+    if i is None:
         fa = exact(SCAN_CELLS)
         if abs(fa) < 1e-15:
             return RootResult(r=1.0, residual=abs(fa), bracket=(1.0, 1.0), iterations=0)
@@ -103,7 +74,7 @@ def _bisect_newton(fn: Callable[[float], float],
         if (fm < 0) == (fa < 0):
             a, fa = m, fm
         else:
-            b, fb = m, fm
+            b = m
     root = 0.5 * (a + b)
     # Newton polish with a central finite-difference slope.
     for _ in range(3):

@@ -3,6 +3,7 @@
 Every boundary extremum in this package is located the same way: sample the
 objective on a dense grid, then refine around the best sample with a
 golden-section search (one variable) or Nelder-Mead (the box maximizer).
+Every root is bracketed by the first sign change on a grid.
 Deterministic by construction.
 """
 
@@ -23,8 +24,8 @@ MAX_ITER = 200
 #: objective settles closer calls (notes/decisions.md, section 25).
 SLACK = 1e-9
 
-__all__ = ["golden_max", "golden_min", "refine_max", "refine_min", "local_minima", "top_k",
-           "NelderMeadResult", "nelder_mead"]
+__all__ = ["golden_max", "golden_min", "refine_max", "refine_min", "local_minima",
+           "sign_change", "top_k", "NelderMeadResult", "nelder_mead"]
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -153,6 +154,39 @@ def local_minima(f: Callable[[float], float], xs: Sequence[float],
         x, v = golden_min(f, xs[i - 1], xs[i + 1])
         out.append((x, v))
     return out
+
+
+def sign_change(f: Callable[[float], float], xs: Sequence[float],
+                values: Sequence[float] | None = None
+                ) -> tuple[int | None, Callable[[int], float]]:
+    """(i, exact): the first cell [xs[i], xs[i+1]] whose end values of ``f``
+    differ in sign bit (i is None if none does), and ``exact`` of
+    ``_grid_values``, the memo of ``f`` on the grid.
+
+    A node's sign comes from its estimate in ``values`` when that is sure and
+    clears 0 by more than its width, and from ``f`` otherwise; only the cells
+    whose ends are not both decided alike are visited.  Without ``values``
+    every sign comes from ``f``, and the scan stops at the first change.
+    """
+    if values is None:
+        values = np.full(len(xs), math.nan)  # decides nothing
+    values, widths, exact = _grid_values(f, xs, values)
+    decided = _sure(values) & (np.abs(values) > widths)
+    negative = values < 0.0
+    # A cell can hold the first sign change only if an end is undecided or
+    # its ends are decided apart.
+    cells = np.flatnonzero(~(decided[:-1] & decided[1:])
+                           | (negative[:-1] != negative[1:])).tolist()
+
+    def sign_bit(j: int) -> bool:
+        if decided[j]:
+            return bool(negative[j])
+        return math.copysign(1.0, exact(j)) < 0.0
+
+    for i in cells:
+        if sign_bit(i) != sign_bit(i + 1):
+            return i, exact
+    return None, exact
 
 
 def top_k(values: np.ndarray, k: int) -> np.ndarray:

@@ -12,6 +12,7 @@ than values of g.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -108,20 +109,20 @@ def subordination_threshold(target: str, A: float | None = None,
 
 # The circle objectives below take xp=math as the scalar objectives of the
 # scans and their refinements, and xp=np for the scans' estimates in one
-# array pass (scan.SLACK).
+# array pass (notes/decisions.md, section 25).
 
 
-def _parabola_uv(theta, m: float = 1.0, xp=math):
+def _parabola_uv(theta, xp=math):
     x = xp.cos(theta)
     y = xp.sin(theta)
     D = xp.cos(2.0 * x) + xp.cosh(2.0 * y)
     u = (2.0 * ((x + 1.0) * xp.cos(x) * xp.cosh(y)
                 - y * xp.sinh(y) * xp.sin(x)) / D
-         + m * (0.5 + (x * xp.sin(2.0 * x) - y * xp.sinh(2.0 * y)) / D))
+         + (0.5 + (x * xp.sin(2.0 * x) - y * xp.sinh(2.0 * y)) / D))
     v = (2.0 * ((x + 1.0) * xp.sinh(y) * xp.sin(x)
                 + y * xp.cos(x) * xp.cosh(y)) / D
-         + m * (y / ((x + 1.0) ** 2 + y * y)
-                + (y * xp.sin(2.0 * x) + x * xp.sinh(2.0 * y)) / D))
+         + (y / ((x + 1.0) ** 2 + y * y)
+            + (y * xp.sin(2.0 * x) + x * xp.sinh(2.0 * y)) / D))
     return u, v
 
 
@@ -184,17 +185,14 @@ def _log_derivative_re(theta, xp=math):
         xp.cos(2.0 * x) + xp.cosh(2.0 * y))
 
 
-# |cos| and |sin| at e^{i theta}.  Their scans' estimates are np.abs(np.cos(w))
-# and np.abs(np.sin(w)) on w = e^{i theta}: not these expressions, only close
-# to them.
+# |cos| and |sin| at e^{i theta}; their scans' estimates are the same
+# expressions on arrays.
 def _abs_cos(t: float) -> float:
-    return abs(complex(math.cos(math.cos(t)) * math.cosh(math.sin(t)),
-                       -math.sin(math.cos(t)) * math.sinh(math.sin(t))))
+    return abs(cmath.cos(cmath.exp(1j * t)))
 
 
 def _abs_sin(t: float) -> float:
-    return abs(complex(math.sin(math.cos(t)) * math.cosh(math.sin(t)),
-                       math.cos(math.cos(t)) * math.sinh(math.sin(t))))
+    return abs(cmath.sin(cmath.exp(1j * t)))
 
 
 def misc_constants() -> dict[str, float]:

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from secstar import radii, scan, subordination
 from secstar.extremal import rotation_bound
-from secstar.generator import g_eval, phi_eval, phi_global_bounds
-from secstar.scan import SLACK, local_minima, refine_max, refine_min
+from secstar.generator import _phi_values, g_eval, phi_eval, phi_global_bounds
+from secstar.scan import SLACK, golden_max, local_minima, refine_max, refine_min
 
 SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0]
 
@@ -202,3 +202,27 @@ def test_phi_bounds_im_max_is_the_scan_of_its_scalar_objective(samples):
     theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
     scalar = refine_max(lambda t: abs(phi_eval(cmath.exp(1j * t)).imag), theta)[1]
     assert repr(phi_global_bounds(samples).im_abs_max) == repr(scalar)
+
+
+def hand_rolled_arg_max(samples):
+    """sup |arg phi| as phi_global_bounds found it before it called refine_max:
+    golden section on the cell around the largest estimate, kept off the
+    zero at pi, and never below that estimate."""
+    theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
+    w = _phi_values(np.exp(1j * theta))
+
+    def arg_abs(t):
+        val = phi_eval(cmath.exp(1j * t))
+        return 0.0 if val == 0 else abs(cmath.phase(val))
+
+    args = np.abs(np.angle(np.where(w == 0, 1.0, w)))
+    i = int(np.argmax(args))
+    lo = theta[max(i - 1, 0)]
+    hi = min(theta[min(i + 1, samples - 1)], math.pi - 1e-13)
+    _, arg_max = golden_max(arg_abs, lo, hi)
+    return max(arg_max, float(args[i]))
+
+
+@pytest.mark.parametrize("samples", list(range(256, 9000, 131)) + [16384, 100000])
+def test_phi_bounds_arg_max_equals_the_hand_rolled_refinement(samples):
+    assert repr(phi_global_bounds(samples).arg_abs_max) == repr(hand_rolled_arg_max(samples))

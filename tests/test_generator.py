@@ -97,13 +97,13 @@ def test_radial_range_rejects_bad_radius():
 
 
 def test_global_bounds():
-    b = phi_global_bounds(4096)
-    assert b.re_min == 0.0
-    assert abs(b.re_max - TWO_SEC_ONE) < 1e-14
-    assert abs(b.im_abs_max - 1.6471) < 1e-3
-    assert b.arg_abs_max <= math.pi / 2 + 1e-9
-    # sup |arg| is approached at the tip where the curve meets the origin
-    assert b.arg_abs_max > math.pi / 2 - 1e-3
+    for samples in (256, 1024, 4096, 65536):
+        b = phi_global_bounds(samples)
+        assert b.re_min == 0.0
+        assert abs(b.re_max - TWO_SEC_ONE) < 1e-14
+        assert abs(b.im_abs_max - 1.6471) < 1e-3
+        # sup |arg| = pi/2 is approached at the tip where the curve meets the origin
+        assert abs(b.arg_abs_max - math.pi / 2) <= 2 * math.ulp(math.pi / 2), samples
 
 
 def test_global_bounds_rejects_small_sample():

@@ -5,10 +5,10 @@ import pytest
 
 from secstar.generator import g_series
 from secstar.published import PUBLISHED
-from secstar.subordination import (gamma_constants, gudermannian, janowski_threshold,
-                                   misc_constants, parabola_b0,
-                                   subordination_threshold, _parabola_uv,
-                                   _log_derivative_re)
+from secstar.subordination import (MISC_SAMPLES, gamma_constants, gudermannian,
+                                   janowski_threshold, misc_constants, parabola_b0,
+                                   subordination_threshold, _abs_cos, _abs_sin,
+                                   _parabola_uv, _log_derivative_re)
 
 
 def test_gamma_constants_quadrature_frozen():
@@ -123,6 +123,26 @@ def test_parabola_objective_even():
         u2, v2 = _parabola_uv(-t)
         assert abs(u1 - u2) < 1e-15
         assert abs(v1 + v2) < 1e-15
+
+
+def test_abs_cos_and_sin_equal_their_expanded_forms():
+    # cos(x+iy) = cos x cosh y - i sin x sinh y, sin(x+iy) = sin x cosh y +
+    # i cos x sinh y, at x + iy = e^{i theta}: the forms the circle scans
+    # used before they called cmath.
+    def expanded_abs_cos(t):
+        return abs(complex(math.cos(math.cos(t)) * math.cosh(math.sin(t)),
+                           -math.sin(math.cos(t)) * math.sinh(math.sin(t))))
+
+    def expanded_abs_sin(t):
+        return abs(complex(math.sin(math.cos(t)) * math.cosh(math.sin(t)),
+                           math.cos(math.cos(t)) * math.sinh(math.sin(t))))
+
+    edges = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2]
+    thetas = (np.linspace(-math.pi, math.pi, 200001).tolist()
+              + np.linspace(-math.pi, math.pi, MISC_SAMPLES, endpoint=False).tolist()
+              + edges + [math.nextafter(t, 0.0) for t in edges])
+    assert [repr(_abs_cos(t)) for t in thetas] == [repr(expanded_abs_cos(t)) for t in thetas]
+    assert [repr(_abs_sin(t)) for t in thetas] == [repr(expanded_abs_sin(t)) for t in thetas]
 
 
 def test_half_real_part_of_moebius_term():
