@@ -22,8 +22,8 @@ _EXPORTS = {
     "caratheodory": ("HerglotzMeasure", "SchurPoint", "caratheodory_from_schur",
                      "caratheodory_from_schur_printed", "coefficients_from_prefix",
                      "member_from_measure", "measure_equal_atoms",
-                     "measure_single_atom", "p_series_from_measure",
-                     "sample_measure", "sample_rows", "toeplitz_psd_check"),
+                     "measure_single_atom", "sample_measure", "sample_rows",
+                     "toeplitz_psd_check"),
     "functionals": ("FunctionalReport", "an_bound", "coefficient_sum_margin",
                     "compute_report", "convolution_margin", "fs_bound",
                     "sufficient_coefficient_check"),

@@ -51,11 +51,8 @@ __all__ = [
     "p_rows",
     "member_rows",
     "log_derivative_rows",
-    "p_series_from_measure",
     "p_eval_from_measure",
-    "members_from_measures",
     "member_from_measure",
-    "log_derivative_on_circle",
     "SchurPoint",
     "caratheodory_from_schur",
     "caratheodory_from_schur_printed",
@@ -82,9 +79,7 @@ class HerglotzMeasure:
     def __post_init__(self):
         if not 1 <= len(self.atoms) <= MAX_ATOMS:
             raise ValueError(f"atom count must lie in [1, {MAX_ATOMS}]")
-        # Python min and sum: a measure is built per member, and a fresh
-        # ndarray here cost four times the whole check.  Written so that a
-        # NaN weight fails too.
+        # Written so that a NaN weight fails too.
         w = [a[0] for a in self.atoms]
         if not (min(w) >= 0.0 and abs(sum(w) - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
@@ -92,14 +87,6 @@ class HerglotzMeasure:
         # x != 0 marks exactly the real atoms of a packed measure.
         if not all(math.isfinite(a[1]) for a in self.atoms):
             raise ValueError("angles must be finite")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([a[0] for a in self.atoms])
-
-    @property
-    def angles(self) -> np.ndarray:
-        return np.array([a[1] for a in self.atoms])
 
 
 def sample_measure(rng_seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure:
@@ -396,11 +383,6 @@ def log_derivative_rows(weights: np.ndarray, x: np.ndarray, radius: float,
     return _phi_values((p - 1.0) / (p + 1.0))
 
 
-def p_series_from_measure(m: HerglotzMeasure, order: int) -> PowerSeries:
-    """Coefficients p_n = 2 sum_k lambda_k e^{-i n theta_k}; p_0 = 1."""
-    return PowerSeries(p_rows(*pack_measures([m]), order)[0])
-
-
 def p_eval_from_measure(m: HerglotzMeasure, z) -> np.ndarray:
     """Exact kernel evaluation sum_k lambda_k (1 + x_k z)/(1 - x_k z).
 
@@ -415,28 +397,11 @@ def p_eval_from_measure(m: HerglotzMeasure, z) -> np.ndarray:
     return _kernel_rows(*pack_measures([m]), z.ravel())[0].reshape(z.shape)
 
 
-def members_from_measures(measures: Sequence[HerglotzMeasure],
-                          order: int) -> list[ClassMember]:
-    """Class members of a batch of measures, synthesized BLOCK at a time."""
-    members = []
-    for start in range(0, len(measures), BLOCK):
-        block = measures[start:start + BLOCK]
-        members.extend(
-            ClassMember(PowerSeries(c),
-                        provenance=(f"herglotz-sample:seed={m.seed}"
-                                    if m.seed is not None else "herglotz-manual"))
-            for m, c in zip(block, member_rows(*pack_measures(block), order)))
-    return members
-
-
 def member_from_measure(m: HerglotzMeasure, order: int) -> ClassMember:
     """Synthesize a class member: omega = (p-1)/(p+1), q = phi(omega), lift."""
-    return members_from_measures([m], order)[0]
-
-
-def log_derivative_on_circle(m: HerglotzMeasure, radius: float, count: int) -> np.ndarray:
-    """Values of z f'/f for the measure's member on |z| = radius."""
-    return log_derivative_rows(*pack_measures([m]), radius, count)[0]
+    return ClassMember(PowerSeries(member_rows(*pack_measures([m]), order)[0]),
+                       provenance=(f"herglotz-sample:seed={m.seed}"
+                                   if m.seed is not None else "herglotz-manual"))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 DEFAULT_ORDER = 16
+# validation.DEFAULT_SEED, copied: importing validation here would load
+# numpy on every cold start.
 DEFAULT_SEED = 0xC0FFEE
 MAX_ORDER = 64
 #: Most members one command synthesises (sample --count, search and report

@@ -97,8 +97,9 @@ def phi_global_bounds(samples: int = 4096) -> PhiBounds:
     """Bounds of Re, |Im| and |arg| of phi over the disk.
 
     Real bounds come from the radial range in the r -> 1 limit.  The
-    imaginary and argument bounds are estimated on the boundary circle
-    (where both maxima live) and sharpened by golden-section refinement.
+    imaginary and argument bounds are taken on the boundary circle, where
+    both maxima live: |Im| is refined from its grid by ``refine_max``, and
+    |arg| is its largest grid value.
     """
     if samples < BOUNDS_MIN_SAMPLES:
         raise ValueError(f"need at least {BOUNDS_MIN_SAMPLES} boundary samples")
@@ -110,15 +111,11 @@ def phi_global_bounds(samples: int = 4096) -> PhiBounds:
 
     _, im_max = refine_max(im_abs, theta, np.abs(w.imag))
 
-    # |arg phi| is supremal toward theta = +-pi where the curve meets 0.
-    # The last node is pi - 2 pi/samples, so no bracket reaches the zero.
-    def arg_abs(t: float) -> float:
-        val = phi_eval(cmath.exp(1j * t))
-        if val == 0:
-            return 0.0
-        return abs(cmath.phase(val))
-
-    _, arg_max = refine_max(arg_abs, theta, np.abs(np.angle(np.where(w == 0, 1.0, w))))
+    # |arg phi| climbs to pi/2 toward theta = +-pi, where the curve meets 0.
+    # The node theta = -pi already gives pi/2 less one ulp, and refining the
+    # best cell returned the node's value at every grid tried
+    # (notes/decisions.md, section 26).
+    arg_max = float(np.abs(np.angle(np.where(w == 0, 1.0, w))).max())
 
     return PhiBounds(re_min=0.0, re_max=RE_MAX, im_abs_max=im_max, arg_abs_max=arg_max)
 

@@ -129,10 +129,7 @@ class PowerSeries:
 
     def integral(self) -> "PowerSeries":
         """Termwise antiderivative with zero constant; order rises by one."""
-        out = np.empty(self._c.size + 1, dtype=np.complex128)
-        out[0] = 0.0
-        out[1:] = self._c / np.arange(1, self._c.size + 1)
-        return PowerSeries(out)
+        return PowerSeries(_integral_rows(self._c[None])[0])
 
     # -- composition and transcendental lifts ---------------------------
 
@@ -220,8 +217,9 @@ def exp_integral_lift(q: PowerSeries) -> PowerSeries:
 
 # -- row kernels -----------------------------------------------------------
 #
-# Each kernel maps (B, N+1) complex arrays to a (B, N+1) array and treats
-# every row on its own: no row's result depends on B or on the other rows.
+# Each kernel maps (B, N+1) complex arrays to a (B, N+1) array, except
+# _integral_rows, whose rows gain a term, and treats every row on its own:
+# no row's result depends on B or on the other rows.
 
 
 def div_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,14 +268,20 @@ def exp_rows(f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integral_rows(c: np.ndarray) -> np.ndarray:
+    """Row-wise termwise antiderivatives with zero constant: (B, N+2) rows."""
+    out = np.zeros((c.shape[0], c.shape[1] + 1), dtype=np.complex128)
+    out[:, 1:] = c / np.arange(1, c.shape[1] + 1)
+    return out
+
+
 def lift_rows(q: np.ndarray) -> np.ndarray:
     """Row-wise :func:`exp_integral_lift`: rows of z exp(integral (q-1)/t)."""
     if (np.abs(q[:, 0] - 1.0) > 1e-9).any():
         raise ValueError("exp_integral_lift requires q(0) = 1")
     n = q.shape[1] - 1
     # (q(t)-1)/t integrated termwise: coefficient k is q_k / k.
-    h = np.zeros(q.shape, dtype=np.complex128)
-    h[:, 1:] = q[:, 1:] / np.arange(1, n + 1)
+    h = _integral_rows(q[:, 1:])
     out = np.zeros(q.shape, dtype=np.complex128)
     if n >= 1:
         out[:, 1:] = exp_rows(h)[:, :-1]

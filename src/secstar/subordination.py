@@ -20,7 +20,7 @@ import numpy as np
 
 from .generator import g_eval
 from .published import PUBLISHED
-from .scan import golden_min, local_minima, refine_max, refine_min
+from .scan import local_minima, refine_max, refine_min
 
 __all__ = [
     "ThresholdReport",
@@ -162,12 +162,6 @@ def parabola_b0() -> ParabolaResult:
     if not off_axis:
         raise RuntimeError("off-axis stationary minimum not found (bug)")
     theta_min, min_value = min(off_axis, key=lambda tv: tv[1])
-    # Report the negative-theta representative of the symmetric pair.
-    if theta_min > 0:
-        t2, v2 = golden_min(_parabola_objective, -theta_min - 1e-3,
-                            -theta_min + 1e-3)
-        if v2 <= min_value + 1e-12:
-            theta_min, min_value = t2, v2
     return ParabolaResult(theta_min=theta_min, min_value=min_value,
                           b0=-(min_value + 1.0) / 2.0,
                           global_theta=global_theta,

@@ -100,14 +100,10 @@ def designated_measures() -> list[HerglotzMeasure]:
 
 
 def _search_rows(config: SearchConfig):
-    """Weights and atoms of the search's members, at most CHUNK rows at a
-    time: the designated measures, then the random ones.  Every chunk but
-    the last is a whole number of blocks."""
-    weights, x = pack_measures(designated_measures())
-    first = min(CHUNK - len(weights), config.count)
-    _, w, _, xs = sample_rows([config.seed + i for i in range(first)])
-    yield np.concatenate([weights, w]), np.concatenate([x, xs])
-    for start in range(first, config.count, CHUNK):
+    """Weights and atoms of the search's members: the designated measures,
+    then the random ones, CHUNK seeds at a time."""
+    yield pack_measures(designated_measures())
+    for start in range(0, config.count, CHUNK):
         stop = min(start + CHUNK, config.count)
         _, w, _, xs = sample_rows([config.seed + i for i in range(start, stop)])
         yield w, xs

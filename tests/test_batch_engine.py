@@ -19,9 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secstar.caratheodory import (HerglotzMeasure, log_derivative_on_circle,
-                                  log_derivative_rows, member_from_measure,
-                                  member_rows, members_from_measures,
+from secstar.caratheodory import (HerglotzMeasure, log_derivative_rows,
+                                  member_from_measure, member_rows,
                                   p_eval_from_measure, pack_measures,
                                   sample_measure)
 from secstar.functionals import (FS_MUS, SHARP_BOUNDS, compute_report,
@@ -97,8 +96,8 @@ def oracle_phi(order):
 
 
 def oracle_p(m, order):
-    lam = m.weights
-    x = np.exp(-1j * m.angles)
+    lam, angles = map(np.array, zip(*m.atoms))
+    x = np.exp(-1j * angles)
     c = np.empty(order + 1, dtype=np.complex128)
     c[0] = 1.0
     xn = np.ones_like(x)
@@ -118,9 +117,9 @@ def oracle_member(m, order):
 
 def oracle_log_derivative(m, radius, count):
     z = radius * np.exp(1j * np.linspace(-math.pi, math.pi, count, endpoint=False))
-    x = np.exp(-1j * m.angles)
-    xz = np.multiply.outer(z, x)
-    p = (1.0 + xz) / (1.0 - xz) @ m.weights
+    lam, angles = map(np.array, zip(*m.atoms))
+    xz = np.multiply.outer(z, np.exp(-1j * angles))
+    p = (1.0 + xz) / (1.0 - xz) @ lam
     omega = (p - 1.0) / (p + 1.0)
     return (1.0 + omega) / np.cos(omega)
 
@@ -274,15 +273,16 @@ def test_batched_log_derivative_matches_serial_oracle(measures):
     for m, row in zip(measures, w):
         want = oracle_log_derivative(m, 0.95, 64)
         assert np.abs(row - want).max() <= TOL * np.abs(want).max()
-        assert np.array_equal(log_derivative_on_circle(m, 0.95, 64), row)
 
 
 def assert_log_derivative_is_padded_sum(measures, radius, count):
     weights, x = pack_measures(measures)
     w = log_derivative_rows(weights, x, radius, count)
     assert w.tobytes() == padded_log_derivative_rows(weights, x, radius, count).tobytes()
+    # A batch of one is the same computation as a row of a larger batch.
     for m, row in zip(measures, w):
-        assert log_derivative_on_circle(m, radius, count).tobytes() == row.tobytes()
+        one = log_derivative_rows(*pack_measures([m]), radius, count)[0]
+        assert one.tobytes() == row.tobytes()
 
 
 @given(measure_batches, st.sampled_from([(0.95, 64), (0.5, 7), (0.999, 2), (0.9, 1)]))
@@ -325,12 +325,10 @@ def test_kernel_evaluation_is_the_padded_sum():
 @given(measure_batches, st.sampled_from(ORDERS))
 @settings(max_examples=30)
 def test_batched_functionals_match_serial_oracle(measures, order):
-    members = members_from_measures(measures, order)
-    coeffs = np.array([f.coeffs.coeffs for f in members])
-    cols = functional_columns(coeffs)
-    for i, f in enumerate(members):
-        want = oracle_functionals(oracle_member(measures[i], order))
-        rep = compute_report(f)
+    cols = functional_columns(member_rows(*pack_measures(measures), order))
+    for i, m in enumerate(measures):
+        want = oracle_functionals(oracle_member(m, order))
+        rep = compute_report(member_from_measure(m, order))
         assert rep == cols.report(i)
         for name in ("a2", "a3", "a4", "a5", "h22", "h31", "t21", "t31",
                      "coeff_sum_margin"):
@@ -341,7 +339,7 @@ def test_batched_functionals_match_serial_oracle(measures, order):
 
 def test_members_keep_seed_provenance():
     ms = [sample_measure(7), HerglotzMeasure(atoms=((1.0, 0.5),))]
-    tags = [f.provenance for f in members_from_measures(ms, 8)]
+    tags = [member_from_measure(m, 8).provenance for m in ms]
     assert tags == ["herglotz-sample:seed=7", "herglotz-manual"]
 
 
@@ -355,15 +353,15 @@ def test_batched_functionals_require_order_five():
 
 @pytest.mark.parametrize("count", [BLOCK - 4, BLOCK - 3, 1000])
 def test_run_search_matches_serial_loop(count):
-    # BLOCK - 4 fills exactly one block together with the designated measures;
-    # BLOCK - 3 spills one member into a second block.
+    # BLOCK - 4 members make one block with the designated measures, and
+    # BLOCK - 3 one member more; the serial loop takes them one at a time.
     assert_search_matches_oracle(
         SearchConfig(count=count, seed=count, order=16, check_containment=True))
 
 
 def test_run_search_matches_serial_loop_across_two_to_the_64():
     # Seeds of two words, then of three; the last member opens a second chunk.
-    assert_search_matches_oracle(SearchConfig(count=CHUNK - 3, seed=2**64 - 600))
+    assert_search_matches_oracle(SearchConfig(count=CHUNK + 1, seed=2**64 - 600))
 
 
 def assert_search_matches_oracle(cfg):
@@ -393,10 +391,12 @@ def per_measure_search(config):
 
 @pytest.mark.parametrize("count,seed", [
     (0, 5), (1, 2**128), (CHUNK - 4, 11), (CHUNK - 3, 2**32 - 500),
-    (2 * CHUNK + 5, 2**64 - 1000), (300, 2**128 - 150)])
+    (2 * CHUNK + 5, 2**64 - 1000), (300, 2**128 - 150), (CHUNK, 2**64 - 3),
+    (CHUNK + 1, 7)])
 def test_run_search_keeps_every_bit_of_the_per_measure_draw(count, seed):
-    # Chunk edges: CHUNK - 4 random members fill the first chunk behind the
-    # designated measures, and one more opens the second.
+    # Chunk edges: CHUNK random members fill the first chunk, and one more
+    # opens the second.  The reference blocks the designated measures with
+    # the first random ones, and the search blocks them apart.
     cfg = SearchConfig(count=count, seed=seed)
     assert repr(asdict(run_search(cfg))) == repr(asdict(per_measure_search(cfg)))
 

@@ -9,27 +9,27 @@ from hypothesis import strategies as st
 
 from secstar.caratheodory import (MAX_ATOMS, HerglotzMeasure, SchurPoint,
                                   _draw_rows, caratheodory_from_schur,
-                                  log_derivative_on_circle,
-                                  measure_equal_atoms, measure_single_atom,
-                                  member_from_measure, p_eval_from_measure,
-                                  p_series_from_measure, pack_measures,
+                                  log_derivative_rows, measure_equal_atoms,
+                                  measure_single_atom, member_from_measure,
+                                  p_eval_from_measure, p_rows, pack_measures,
                                   sample_measure, sample_rows,
                                   toeplitz_psd_check)
+from secstar.series import PowerSeries
 
 
 def test_p_series_single_atom_zero():
-    p = p_series_from_measure(measure_single_atom(0.0), 5)
-    assert np.allclose(p.coeffs, [1, 2, 2, 2, 2, 2], atol=1e-15)
+    p = p_rows(*pack_measures([measure_single_atom(0.0)]), 5)[0]
+    assert np.allclose(p, [1, 2, 2, 2, 2, 2], atol=1e-15)
 
 
 def test_p_series_single_atom_pi():
-    p = p_series_from_measure(measure_single_atom(math.pi), 5)
-    assert np.allclose(p.coeffs, [1, -2, 2, -2, 2, -2], atol=1e-13)
+    p = p_rows(*pack_measures([measure_single_atom(math.pi)]), 5)[0]
+    assert np.allclose(p, [1, -2, 2, -2, 2, -2], atol=1e-13)
 
 
 def test_p_series_two_atoms_is_even_kernel():
-    p = p_series_from_measure(measure_equal_atoms(2), 6)
-    assert np.allclose(p.coeffs, [1, 0, 2, 0, 2, 0, 2], atol=1e-13)
+    p = p_rows(*pack_measures([measure_equal_atoms(2)]), 6)[0]
+    assert np.allclose(p, [1, 0, 2, 0, 2, 0, 2], atol=1e-13)
 
 
 def test_member_single_atom_is_principal_extremal():
@@ -140,11 +140,11 @@ def test_sample_measure_is_the_dirichlet_draw(seed):
 @settings(max_examples=200)
 def test_sample_measure_invariants(seed):
     m = sample_measure(seed)
-    w = m.weights
+    w, angles = map(np.array, zip(*m.atoms))
     assert 1 <= len(m.atoms) <= 8
     assert (w >= 0).all()
     assert abs(w.sum() - 1.0) <= 1e-12
-    assert ((m.angles >= -math.pi) & (m.angles < math.pi)).all()
+    assert ((angles >= -math.pi) & (angles < math.pi)).all()
 
 
 # -- sample_rows: the same draws for a batch of seeds ---------------------------
@@ -258,15 +258,15 @@ def test_exact_kernel_positive_real_part():
     inner = (0.7 * np.arange(1, 17) / 16)[:, None] * np.exp(1j * angles)[None, :]
     for seed in range(50):
         m = sample_measure(seed)
-        p = p_series_from_measure(m, 16)
-        assert p.coeffs[0] == 1.0
-        assert p.evaluate(inner.ravel()).real.min() > 0
+        p = p_rows(*pack_measures([m]), 16)[0]
+        assert p[0] == 1.0
+        assert PowerSeries(p).evaluate(inner.ravel()).real.min() > 0
 
 
 def test_subordination_containment_sampled(image_region):
     for seed in range(150):
         m = sample_measure(seed)
-        w = log_derivative_on_circle(m, 0.95, 64)
+        w = log_derivative_rows(*pack_measures([m]), 0.95, 64)[0]
         assert image_region.contains_batch(w, boundary_tol=1e-4).all()
 
 
@@ -340,5 +340,5 @@ def test_schur_points_give_psd_prefixes(p, rg, ag, re, ae, rr, ar):
 def test_measures_give_psd_prefixes():
     for seed in range(100):
         m = sample_measure(seed)
-        p = p_series_from_measure(m, 8)
-        assert toeplitz_psd_check(p.coeffs[1:].tolist(), 5)
+        p = p_rows(*pack_measures([m]), 8)[0]
+        assert toeplitz_psd_check(p[1:].tolist(), 5)

@@ -257,3 +257,9 @@ def test_cli_phi_help_shows_the_equals_form_of_z():
     assert code == 0 and err == ""
     # argparse may wrap the help text at a space or a hyphen.
     assert "--z=-0.3-0.7j" in "".join(out.split())
+
+
+def test_cli_default_seed_is_the_search_default():
+    # cli keeps its own copy so that parsing loads no numpy.
+    from secstar import validation
+    assert cli.DEFAULT_SEED == validation.DEFAULT_SEED
