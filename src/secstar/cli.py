@@ -5,10 +5,10 @@ constants, convolution-check, search, report.  Flags follow the subcommand,
 and each subcommand takes only the flags its handler reads, so a flag it
 would ignore is a usage error.  Results go to stdout as canonical JSON (or
 CSV with --csv, where the subcommand has a table); diagnostics go to stderr.
-Exit codes: 0 success, 2 usage error (bad flags or values, or a request too
-large to allocate), 3 verification failure (a failed report row, an
-enforced search flag or containment failure, or a numerical self-check
-raising RuntimeError).
+Exit codes: 0 success, 2 usage error (bad flags or values, a size over its
+bound, or one too large to allocate), 3 verification failure (a failed
+report row, an enforced search flag or containment failure, or a numerical
+self-check raising RuntimeError).
 """
 
 from __future__ import annotations
@@ -34,6 +34,12 @@ MAX_ORDER = 64
 #: Most members one command synthesises (sample --count, search and report
 #: --samples): 100 000 is about 10 s of search work.
 MAX_COUNT = 100_000
+#: Bounds of the other size flags, checked before anything is allocated; at
+#: its bound a flag's arrays take at most about 150 MB.
+MAX_SAMPLES = 100_000  # phi and constants --samples
+MAX_THETA_SAMPLES = 1_000_000  # convolution-check --theta-samples
+MAX_Z_NODES = 1_000  # convolution-check --z-radii and --z-angles, each
+MAX_GRID = {1: 1_000_000, 2: 100_000, 3: 2_000}  # optimize --grid, by axis count
 
 
 def _emit(args, payload, csv_header=None, csv_rows=None) -> None:
@@ -49,10 +55,10 @@ def _rational_guess(x: float) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def _member_count(flag: str, count: int) -> int:
-    if count > MAX_COUNT:
-        raise ValueError(f"{flag} must be at most {MAX_COUNT}")
-    return count
+def _at_most(flag: str, value: int | None, bound: int) -> int | None:
+    if value is not None and value > bound:
+        raise ValueError(f"{flag} must be at most {bound}")
+    return value
 
 
 def _objective(name: str) -> str:
@@ -80,7 +86,7 @@ def _require_order(args, least: int) -> None:
 
 def _samples(args, what: str, least: int) -> int:
     """--samples, 4096 when omitted; ``what`` names the subcommand and mode."""
-    samples = args.samples or 4096
+    samples = _at_most("--samples", args.samples or 4096, MAX_SAMPLES)
     if samples < least:
         raise ValueError(f"{what} needs --samples of at least {least}")
     return samples
@@ -168,7 +174,7 @@ def _cmd_sample(args) -> int:
     from . import caratheodory
     if args.count < 1:
         raise ValueError("--count must be at least 1")
-    _member_count("--count", args.count)
+    _at_most("--count", args.count, MAX_COUNT)
     _require_order(args, 2)  # the CSV rows carry a2
     max_atoms = caratheodory.MAX_ATOMS if args.max_atoms is None else args.max_atoms
     seeds = [args.seed + i for i in range(args.count)]
@@ -207,6 +213,7 @@ def _cmd_functionals(args) -> int:
 
 def _cmd_optimize(args) -> int:
     from . import objectives
+    _at_most("--grid", args.grid, MAX_GRID[len(objectives.OBJECTIVES[args.objective][1])])
     argmax, value = objectives.maximize_box(args.objective, grid=args.grid)
     payload = {"objective": args.objective, "argmax": list(argmax),
                "value": value, "grid": args.grid or "default", "refined": True}
@@ -262,9 +269,12 @@ def _cmd_constants(args) -> int:
 
 def _cmd_convolution_check(args) -> int:
     from . import functionals
+    _at_most("--z-radii", args.z_radii, MAX_Z_NODES)
+    _at_most("--z-angles", args.z_angles, MAX_Z_NODES)
+    theta_samples = _at_most("--theta-samples", args.theta_samples, MAX_THETA_SAMPLES)
     member = _member_from_args(args, 1)
-    theta_samples = (functionals.THETA_SAMPLES if args.theta_samples is None
-                     else args.theta_samples)
+    if theta_samples is None:
+        theta_samples = functionals.THETA_SAMPLES
     margin = functionals.convolution_margin(member, theta_samples=theta_samples,
                                             z_radii=args.z_radii,
                                             z_angles=args.z_angles)
@@ -283,7 +293,7 @@ def _cmd_search(args) -> int:
     from . import validation
     _require_order(args, 5)
     summary = validation.run_search(validation.SearchConfig(
-        count=_member_count("--samples", args.samples or 10_000), seed=args.seed,
+        count=_at_most("--samples", args.samples or 10_000, MAX_COUNT), seed=args.seed,
         order=args.order))
     _emit(args, asdict(summary))
     failed = summary.enforced_failures() or summary.containment_failures
@@ -293,7 +303,7 @@ def _cmd_search(args) -> int:
 def _cmd_report(args) -> int:
     from . import report as report_mod
     rows = report_mod.discrepancy_report(
-        search_count=_member_count("--samples", args.samples or 2000), seed=args.seed)
+        search_count=_at_most("--samples", args.samples or 2000, MAX_COUNT), seed=args.seed)
     out = [asdict(r) for r in rows]
     # The CSV table leaves out the last field, the free-text note.
     _emit(args, out, csv_header=list(out[0])[:-1],

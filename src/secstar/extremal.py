@@ -71,7 +71,8 @@ def build_extremal(n: int, order: int) -> ClassMember:
     """Member f_n with z f_n'/f_n = phi(z^{n-1}), by the coefficient
     recurrence (k-1) a_k = sum_{j<k} q_{k-j} a_j.
 
-    The tests check it against the exponential-integral lift of phi(z^{n-1}).
+    The tests check it against ``series.lift_rows`` of phi(z^{n-1}); the two
+    differ in the last bit, neither more accurate (notes/decisions.md, section 27).
     """
     if n < 2:
         raise ValueError("extremal index must be >= 2")

@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 K1 = math.cos(1.0) ** 2
-PHI_RE_MAX = RE_MAX
 
 #: Sharp bounds reported in the source material.  |a5| <= 1/3 is quoted but
 #: is exceeded by the principal extremal itself (a5 = 5/12); its flag,
@@ -336,5 +335,5 @@ def sufficient_coefficient_check(member: ClassMember) -> tuple[bool, float]:
     a = member.coeffs.coeffs
     n = np.arange(2, member.order + 1)
     sums = (np.abs(n - phi_t[:, None]) * np.abs(a[2:])).sum(axis=1)
-    worst = float(sums.max()) + PHI_RE_MAX
+    worst = float(sums.max()) + RE_MAX
     return worst < 1.0, worst

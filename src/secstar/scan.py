@@ -24,8 +24,8 @@ MAX_ITER = 200
 #: objective settles closer calls (notes/decisions.md, section 25).
 SLACK = 1e-9
 
-__all__ = ["golden_max", "golden_min", "refine_max", "refine_min", "local_minima",
-           "sign_change", "top_k", "NelderMeadResult", "nelder_mead"]
+__all__ = ["golden_max", "refine_max", "refine_min", "local_minima", "sign_change",
+           "top_k", "NelderMeadResult", "nelder_mead"]
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -48,11 +48,6 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float
     if fc >= fd:
         return c, fc
     return d, fd
-
-
-def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    x, v = golden_max(lambda t: -f(t), lo, hi)
-    return x, -v
 
 
 def _sure(values: np.ndarray) -> np.ndarray:
@@ -151,8 +146,8 @@ def local_minima(f: Callable[[float], float], xs: Sequence[float],
     out = []
     # <= on the right so a dip straddled by two equal samples still counts.
     for i in (np.flatnonzero(falls[:-1] & rises[1:]) + 1).tolist():
-        x, v = golden_min(f, xs[i - 1], xs[i + 1])
-        out.append((x, v))
+        x, v = golden_max(lambda t: -f(t), xs[i - 1], xs[i + 1])
+        out.append((x, -v))
     return out
 
 

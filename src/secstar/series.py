@@ -12,10 +12,10 @@ Coefficients are stored as an immutable ``numpy`` array of ``complex128``.
 Exactness claims elsewhere in the package mean "double precision", not
 rational arithmetic.
 
-Division, composition and the exponential run on batches: the ``*_rows``
-kernels take ``(B, N+1)`` arrays whose rows are B series of one order and
-transform every row at once.  :class:`PowerSeries` calls them with B = 1, so
-a series built one at a time and row i of a batch agree to the last bit.
+The ``*_rows`` kernels take ``(B, N+1)`` arrays whose rows are B series of
+one order and transform every row at once.  :class:`PowerSeries` division
+and ``exp`` call them with B = 1, so a series built one at a time and row i
+of a batch agree to the last bit.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["PowerSeries", "elementary", "exp_integral_lift", "div_rows",
-           "compose_rows", "exp_rows", "lift_rows"]
+__all__ = ["PowerSeries", "elementary", "div_rows", "compose_rows", "exp_rows",
+           "lift_rows"]
 
 #: Division refuses constant terms at or below this magnitude.
 _DIV_FLOOR = 1e-300
@@ -58,9 +58,6 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return self._c.size - 1
-
-    def __len__(self) -> int:
-        return self._c.size
 
     def __getitem__(self, k: int) -> complex:
         return complex(self._c[k])
@@ -131,16 +128,7 @@ class PowerSeries:
         """Termwise antiderivative with zero constant; order rises by one."""
         return PowerSeries(_integral_rows(self._c[None])[0])
 
-    # -- composition and transcendental lifts ---------------------------
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Coefficients of self(inner(z)), truncated at the common order.
-
-        ``inner`` must have constant term exactly zero, otherwise the
-        composition of truncations is ill-defined.
-        """
-        self._require_same_order(inner)
-        return PowerSeries(compose_rows(self._c, inner._c[None])[0])
+    # -- transcendental functions ----------------------------------------
 
     def exp(self) -> "PowerSeries":
         """Series exponential via the ODE recurrence g' = f'·g."""
@@ -175,8 +163,6 @@ class PowerSeries:
             return complex(val)
         return val
 
-    __call__ = evaluate
-
 
 def elementary(kind: str, order: int) -> PowerSeries:
     """Maclaurin expansion of a named elementary function.
@@ -203,16 +189,6 @@ def elementary(kind: str, order: int) -> PowerSeries:
         if order >= 1:
             c[1] = 1.0
     return PowerSeries(c)
-
-
-def exp_integral_lift(q: PowerSeries) -> PowerSeries:
-    """Normalized member with logarithmic derivative ``q``.
-
-    Returns the series of ``f(z) = z * exp( integral_0^z (q(t)-1)/t dt )``,
-    so that ``z f'(z)/f(z) = q(z)`` through the truncation order.  Requires
-    ``q(0) = 1``; the result has ``f0 = 0`` and ``f1 = 1`` exactly.
-    """
-    return PowerSeries(lift_rows(q.coeffs[None])[0])
 
 
 # -- row kernels -----------------------------------------------------------
@@ -276,9 +252,10 @@ def _integral_rows(c: np.ndarray) -> np.ndarray:
 
 
 def lift_rows(q: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`exp_integral_lift`: rows of z exp(integral (q-1)/t)."""
+    """The lift: rows of z exp(integral_0^z (q(t)-1)/t dt), the members with
+    z f'/f = q, f0 = 0 and f1 = 1 exactly.  Requires q(0) = 1."""
     if (np.abs(q[:, 0] - 1.0) > 1e-9).any():
-        raise ValueError("exp_integral_lift requires q(0) = 1")
+        raise ValueError("the lift requires q(0) = 1")
     n = q.shape[1] - 1
     # (q(t)-1)/t integrated termwise: coefficient k is q_k / k.
     h = _integral_rows(q[:, 1:])

@@ -80,16 +80,10 @@ def janowski_threshold(A: float, B: float) -> tuple[float, dict[str, float | Non
     return value, {"endpoint": first, "imaginary": second}
 
 
-def subordination_threshold(target: str, A: float | None = None,
-                            B: float | None = None) -> float:
-    """Threshold for p to be subordinate to the named target.
-
-    targets: ``janowski`` (needs A, B), ``exp``, ``cardioid``, ``sine``.
+def subordination_threshold(target: str) -> float:
+    """Threshold for p to be subordinate to the named target: ``exp``,
+    ``cardioid`` or ``sine`` (the Janowski target is ``janowski_threshold``).
     """
-    if target == "janowski":
-        if A is None or B is None:
-            raise ValueError("janowski target needs A and B")
-        return janowski_threshold(A, B)[0]
     g = gamma_constants()
     gamma1 = g["gamma1"].computed
     gamma2 = g["gamma2"].computed

@@ -8,7 +8,7 @@ from secstar.extremal import (ClassMember, build_extremal, distortion_envelope,
                               growth_envelope, rotation_bound)
 from secstar.generator import G_ORDER, g_series, phi_series
 from secstar.scan import refine_max
-from secstar.series import PowerSeries, exp_integral_lift
+from secstar.series import PowerSeries, lift_rows
 
 
 def shift_down(s):
@@ -68,12 +68,17 @@ def test_recurrence_matches_oracle(n):
     assert np.abs(f.coeffs.coeffs - np.array(oracle)).max() < 1e-13
 
 
+def test_recurrence_gives_the_double_nearest_five_twelfths():
+    # The lift gives 0.41666666666666663 here (notes/decisions.md, section 27).
+    assert build_extremal(2, 8).a(5).real == 5 / 12
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_recurrence_agrees_with_integral_lift(n):
     a = build_extremal(n, 32).coeffs.coeffs
     q = np.zeros(33, dtype=np.complex128)
     q[:: n - 1] = phi_series(32 // (n - 1)).coeffs  # phi(z^{n-1})
-    b = exp_integral_lift(PowerSeries(q)).coeffs
+    b = lift_rows(q[None])[0]
     assert np.abs(a - b).max() < 1e-12
 
 

@@ -11,12 +11,11 @@ from secstar import functionals
 from secstar.caratheodory import (measure_equal_atoms, member_from_measure,
                                   sample_measure)
 from secstar.extremal import ClassMember, build_extremal
-from secstar.functionals import (K1, MAX_RADIUS, PHI_RE_MAX, ROW_BLOCK,
-                                 THETA_SAMPLES, an_bound,
+from secstar.functionals import (K1, MAX_RADIUS, ROW_BLOCK, THETA_SAMPLES, an_bound,
                                  coefficient_sum_margin, compute_report,
                                  convolution_margin, fs_bound,
                                  sufficient_coefficient_check)
-from secstar.generator import _phi_values
+from secstar.generator import RE_MAX, _phi_values
 from secstar.series import PowerSeries
 
 
@@ -186,7 +185,7 @@ def per_theta_sufficient_check(member):
     n = np.arange(2, member.order + 1)
     worst = 0.0
     for pt in phi_t:
-        val = float(np.dot(np.abs(n - pt), np.abs(a[2:]))) + PHI_RE_MAX
+        val = float(np.dot(np.abs(n - pt), np.abs(a[2:]))) + RE_MAX
         worst = max(worst, val)
     return worst < 1.0, worst
 

@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import secstar
-from secstar import caratheodory, cli, generator, report, subordination, validation
+from secstar import (caratheodory, cli, extremal, functionals, generator, objectives, radii,
+                     report, subordination, validation)
 from secstar.caratheodory import (SchurPoint, caratheodory_from_schur,
                                   coefficients_from_prefix)
 from secstar.functionals import hankel_h31
@@ -262,13 +264,16 @@ def test_cli_rejects_flags_nothing_reads(capsys, argv):
 
 
 # 10**15 elements (7 PiB of float64) exceed a 47-bit address space, so the
-# allocation fails at once whatever the machine's memory or overcommit.
+# allocation fails at once whatever the machine's memory or overcommit.  The
+# size bounds are lifted here, so that the allocation is tried.
 @pytest.mark.parametrize("argv", [
     ["optimize", "--objective", "k6", "--grid", str(10**15)],
     ["phi", "--circle", "1", "--samples", str(10**15)],
     ["constants", "--samples", str(10**15)],
 ])
-def test_cli_allocation_failure_exits_two(capsys, argv):
+def test_cli_allocation_failure_exits_two(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 10**16)
+    monkeypatch.setattr(cli, "MAX_GRID", dict.fromkeys((1, 2, 3), 10**16))
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -314,6 +319,37 @@ def test_cli_caps_member_counts(capsys, monkeypatch, argv, flag):
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be at most {cli.MAX_COUNT}\n"
     assert cli.MAX_COUNT == 100_000
+
+
+# Each size flag's bound.  The value just over it is refused before any
+# array is built, and the bound itself (README's g_h3 --grid 2000 among
+# them) passes the check and reaches a patched function.
+@pytest.mark.parametrize("argv,flag,bound", [
+    (["optimize", "--objective", "k1", "--grid"], "--grid", 1_000_000),
+    (["optimize", "--objective", "g_h2", "--grid"], "--grid", 100_000),
+    (["optimize", "--objective", "g_h3", "--grid"], "--grid", 2_000),
+    (["convolution-check", "--n", "3", "--theta-samples"], "--theta-samples", 1_000_000),
+    (["convolution-check", "--n", "3", "--z-radii"], "--z-radii", 1_000),
+    (["convolution-check", "--seed", "3", "--z-angles"], "--z-angles", 1_000),
+    (["phi", "--bounds", "--samples"], "--samples", 100_000),
+    (["phi", "--circle", "1", "--samples"], "--samples", 100_000),
+    (["constants", "--samples"], "--samples", 100_000),
+])
+def test_cli_caps_size_flags(capsys, monkeypatch, argv, flag, bound):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    for module, name in [(objectives, "maximize_box"), (functionals, "convolution_margin"),
+                         (extremal, "build_extremal"), (caratheodory, "sample_measure"),
+                         (generator, "sample_circle"), (generator, "phi_global_bounds"),
+                         (radii, "stp_constant"), (subordination, "gamma_constants")]:
+        monkeypatch.setattr(module, name, no_arrays)
+    code = cli.main(argv + [str(bound + 1)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {flag} must be at most {bound}\n"
+    with pytest.raises(AssertionError, match="an array was built"):
+        cli.main(argv + [str(bound)])
 
 
 def test_cli_negative_zero_round_trips(capsys):
@@ -586,6 +622,20 @@ def test_package_names_are_the_defining_modules_objects():
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
     with pytest.raises(AttributeError):
         secstar.no_such_name
+
+
+def test_public_name_lists_agree():
+    # Each package name is in its module's __all__, and each module's
+    # __all__ names what the module defines, not a function or class it imports.
+    for module, names in secstar._EXPORTS.items():
+        assert set(names) <= set(importlib.import_module(f"secstar.{module}").__all__), module
+    for module in secstar._SUBMODULES:
+        mod = importlib.import_module(f"secstar.{module}")
+        for name in getattr(mod, "__all__", ()):
+            assert name in vars(mod), (module, name)
+            obj = vars(mod)[name]
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == mod.__name__, (module, name)
 
 
 def test_package_name_follows_a_monkeypatch_on_its_module(monkeypatch):

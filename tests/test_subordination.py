@@ -62,7 +62,7 @@ def test_threshold_values():
 
 def test_thresholds_positive():
     vals = [subordination_threshold(t) for t in ("exp", "cardioid", "sine")]
-    vals.append(subordination_threshold("janowski", A=0.5, B=-0.5))
+    vals.append(janowski_threshold(0.5, -0.5)[0])
     assert all(v > 0 for v in vals)
 
 
