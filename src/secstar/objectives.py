@@ -179,28 +179,81 @@ def _clip(v, bounds) -> list[float]:
 BLOCK_NODES = 1 << 16
 
 
-def _grid_top(fn, axes, shape, k) -> tuple[np.ndarray, np.ndarray]:
+def _h3_grid_bound(v) -> np.ndarray:
+    """Upper bounds of ``h3_bound_surface`` on the p-slices of a sparse mesh.
+
+    With c = t (144 p^2 + 288 t x)(1 - x^2) the surface is
+    ((g1 + c) + g2 y + (g3 - c) y^2) / 36864, a quadratic in y on each
+    (p, x) line; its maximum on [0, 1] lies at an end or at the vertex.  The
+    slack of 1e-12 times the terms' magnitudes covers the rounding of both
+    the node values and this bound (notes/decisions.md, section 28).
+    """
+    p, x = v[0][..., 0], v[1][..., 0]
+    t, g1, g2, g3 = _g_terms(p, x)
+    c = t * (144.0 * p * p + 288.0 * t * x) * (1.0 - x * x)
+    a = g3 - c
+    vertex = (a < 0.0) & (0.0 < g2) & (g2 < -2.0 * a)
+    peak = np.where(vertex, g1 + c - g2 * g2 / (4.0 * np.where(vertex, a, -1.0)), -np.inf)
+    top = np.maximum(np.maximum(g1 + c, g1 + g2 + g3), peak)
+    slack = 1e-12 * (np.abs(g1) + np.abs(g2) + np.abs(g3) + np.abs(c))
+    return np.max(top + slack, axis=1) / 36864.0
+
+
+#: name -> upper bounds of the objective on the axis-0 slices of a piece of
+#: its sparse mesh, computed on the lines along the last axis; the grid
+#: scan skips the blocks they rule out.
+GRID_BOUNDS: dict[str, Callable[[list[np.ndarray]], np.ndarray]] = {"g_h3": _h3_grid_bound}
+
+
+def _grid_top(fn, axes, shape, k, bound=None) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices and values of the k best grid nodes, as ``top_k`` of the
     whole grid orders them, computed a block at a time.
 
     Each block's ``top_k`` holds every node of the whole grid's that falls
     in it, so ``top_k`` over the blocks' candidates picks the same nodes.
-    Blocks come in node order and ``top_k`` keeps tied nodes in node order,
-    so tied candidates stay in node order and the first occurrence wins.
+    Candidates are merged in node order and ``top_k`` keeps tied nodes in
+    node order, so tied candidates stay in node order and the first
+    occurrence wins.
+
+    ``bound``, if given, maps a piece of the sparse mesh to upper bounds of
+    ``fn`` on its axis-0 slices (see ``GRID_BOUNDS``).  Blocks are then
+    visited from the highest bound down, and one whose bound is below the
+    k-th best value found so far is skipped: none of its nodes can be among
+    the k best, nor tie the k-th.
     """
     # Sparse axes: each term is computed on the axes it depends on, then
     # broadcast; every node still sees the same IEEE operations in order.
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     stride = math.prod(shape[1:])
     rows = max(1, BLOCK_NODES // stride)
-    found, values = [], []
-    for lo in range(0, shape[0], rows):
+    starts = range(0, shape[0], rows)
+    order, limits = range(len(starts)), None
+    if bound is not None:
+        # Whole blocks of slices a call.  The bound holds about ten arrays
+        # of its lines at once, a block's evaluation about four of its
+        # nodes, so BLOCK_NODES / 4 lines a call keep its memory within a
+        # block's.
+        span = max(1, BLOCK_NODES // 4 // (stride // shape[-1]) // rows) * rows
+        slice_max = np.concatenate([bound([mesh[0][lo:lo + span], *mesh[1:]])
+                                    for lo in range(0, shape[0], span)])
+        limits = np.maximum.reduceat(slice_max, starts).tolist()
+        order = np.argsort(np.negative(limits), kind="stable").tolist()
+    kept = {}
+    kth = -math.inf
+    for i in order:
+        # Not ``break``: a NaN bound is never below kth.
+        if limits is not None and limits[i] < kth:
+            continue
+        lo = starts[i]
         block = (min(rows, shape[0] - lo),) + shape[1:]
         flat = np.broadcast_to(fn([mesh[0][lo:lo + rows], *mesh[1:]]), block).ravel()
         best = top_k(flat, min(k, flat.size))
-        found.append(best + lo * stride)
-        values.append(flat[best])
-    found, values = np.concatenate(found), np.concatenate(values)
+        kept[i] = (best + lo * stride, flat[best])
+        if limits is not None:
+            values = np.concatenate([v for _, v in kept.values()])
+            if values.size >= k:
+                kth = np.partition(values, values.size - k)[values.size - k]
+    found, values = (np.concatenate(part) for part in zip(*(kept[i] for i in sorted(kept))))
     best = top_k(values, k)
     return found[best], values[best]
 
@@ -214,7 +267,8 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
     refinement starts from the ``refine_starts`` best cells.  The refinement
     is ``scan.nelder_mead``, a port of scipy's Nelder-Mead.  The grid is
     scanned in blocks of about ``BLOCK_NODES`` nodes, so its size bounds the
-    time but not the memory.
+    time but not the memory; an objective with a ``GRID_BOUNDS`` entry skips
+    the blocks its bound rules out.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -231,7 +285,8 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
     if min(shape) < 51:
         raise ValueError("grid must have at least 51 nodes per axis")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
-    starts, start_vals = _grid_top(fn, axes, shape, min(refine_starts, math.prod(shape)))
+    starts, start_vals = _grid_top(fn, axes, shape, min(refine_starts, math.prod(shape)),
+                                   GRID_BOUNDS.get(objective))
 
     best_point = None
     best_val = -math.inf

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,10 @@ TWO_SEC_ONE = 2.0 / math.cos(1.0)
 SCAN_CELLS = 2048
 _SCAN_NODES = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
 _SCAN_XS = _SCAN_NODES.tolist()
+_SCAN_COS, _SCAN_SIN = np.cos(_SCAN_NODES), np.sin(_SCAN_NODES)
+#: The radius equations' ``xp`` for their array pass at the scan nodes: the
+#: nodes' ``np.cos`` and ``np.sin``, computed once instead of on every solve.
+_AT_SCAN_NODES = SimpleNamespace(cos=lambda r: _SCAN_COS, sin=lambda r: _SCAN_SIN)
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,8 @@ def _bisect_newton(fn: Callable[[float], float],
 
 # The radius equations; each radius is the smallest root in [0, 1].  With
 # xp=math they are the scalar objectives of the root solve, and with xp=np
-# the same expressions give its scan's estimates in one array pass.
+# (or _AT_SCAN_NODES) the same expressions give its scan's estimates in one
+# array pass.
 
 
 def _starlike_order(r, alpha: float, xp=math):
@@ -113,7 +119,8 @@ def _convexity(r, alpha: float, xp=math):
 
 
 def _solve(equation, param: float) -> RootResult:
-    return _bisect_newton(lambda r: equation(r, param), equation(_SCAN_NODES, param, np))
+    return _bisect_newton(lambda r: equation(r, param),
+                          equation(_SCAN_NODES, param, _AT_SCAN_NODES))
 
 
 def solve_radius(kind: str, param: float) -> RootResult:

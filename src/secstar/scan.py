@@ -9,6 +9,7 @@ Deterministic by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -199,6 +200,28 @@ def top_k(values: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-flat[candidates], kind="stable")][:k]
 
 
+@functools.cache
+def _weak_order_argsort(ranks: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(np.argsort(np.array(ranks, dtype=float)).tolist())
+
+
+def _argsort(values: list[float]) -> Sequence[int]:
+    """``np.argsort(np.array(values))``, the vertex order scipy sorts by.
+
+    numpy's argsort compares values and nothing else, so its permutation
+    depends only on their weak order: each value's rank, ties sharing the
+    lowest.  Ties are common in the simplex and numpy breaks them unlike a
+    stable sort once there are four or more values, so the order is numpy's
+    own, taken once per weak order on the ranks themselves.  A NaN, an inf
+    or an overflowing sum goes to numpy directly (notes/decisions.md,
+    section 28).
+    """
+    if not math.isfinite(sum(values)):
+        return np.argsort(np.array(values)).tolist()
+    ascending = sorted(values)
+    return _weak_order_argsort(tuple(map(ascending.index, values)))
+
+
 @dataclass(frozen=True)
 class NelderMeadResult:
     """Best vertex, its value, objective evaluations and iterations."""
@@ -232,9 +255,7 @@ def nelder_mead(fun: Callable[[list[float]], float], x0: Sequence[float],
         return float(fun(list(x)))
 
     def by_value(sim, fsim):
-        # numpy's argsort, as scipy sorts: it breaks ties unlike a stable
-        # sort once there are four or more vertices.
-        order = np.argsort(np.array(fsim))
+        order = _argsort(fsim)
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     sim = [x0]
@@ -247,8 +268,9 @@ def nelder_mead(fun: Callable[[list[float]], float], x0: Sequence[float],
     nit = 1
     while nit < maxiter:
         best, worst = sim[0], sim[-1]
-        if (all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))
-                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+        # The cheaper f-spread test first; both halves are pure.
+        if (all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])
+                and all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))):
             break
         # The centroid of all but the worst vertex, summed in row order.
         total = best

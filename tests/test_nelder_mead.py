@@ -4,6 +4,7 @@ scipy is a test-only dependency: the package itself never imports it.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
+from secstar import objectives, scan
 from secstar.objectives import OBJECTIVES, _default_grid, maximize_box
 from secstar.scan import nelder_mead
 
@@ -142,3 +144,79 @@ def test_clip_is_numpy_clip_with_array_bounds():
             want = np.clip(np.array([a, b]), lo, hi)
             got = _clip([a, b], bounds)
             assert np.array(got).tobytes() == want.tobytes(), (a, b)
+
+
+def weak_orders(n):
+    """Every weak order of n values, as each value's level (0 the lowest)."""
+    for levels in itertools.product(range(n), repeat=n):
+        if set(levels) == set(range(max(levels) + 1)):
+            yield levels
+
+
+@pytest.mark.parametrize("n,count", [(2, 3), (3, 13), (4, 75), (5, 541)])
+def test_vertex_order_is_numpys_on_every_weak_order(n, count):
+    # Each weak order, realized with random level values of any sign and
+    # magnitude, zero among them half the time as 0.0 or -0.0 at random.
+    rng = np.random.default_rng(n)
+    orders = list(weak_orders(n))
+    assert len(orders) == count
+    for levels in orders:
+        for _ in range(6):
+            m = max(levels) + 1
+            pool = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m)
+            if rng.random() < 0.5:
+                pool[rng.integers(m)] = 0.0
+            level_values = np.unique(pool)
+            if level_values.size < m:
+                continue
+            values = [float(level_values[v]) for v in levels]
+            values = [-v if v == 0.0 and rng.random() < 0.5 else v for v in values]
+            assert math.isfinite(sum(values))
+            assert list(scan._argsort(values)) == np.argsort(np.array(values)).tolist()
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, math.nan, 0.5], [math.nan, 0.0, -0.0, math.nan], [math.inf, 1.0, 1.0, -2.0],
+    [-math.inf, math.inf], [2.0, -math.inf, 2.0], [1e308, 1e308, -1.0, 1e308],
+])
+def test_vertex_order_with_nan_inf_or_overflow_is_numpys_own(monkeypatch, values):
+    def unreachable(ranks):
+        raise AssertionError("a non-finite sum has no weak order to look up")
+
+    monkeypatch.setattr(scan, "_weak_order_argsort", unreachable)
+    assert list(scan._argsort(values)) == np.argsort(np.array(values)).tolist()
+
+
+def numpy_every_step(fsim):
+    """The vertex order as nelder_mead took it before the memo: numpy's
+    argsort on every sort."""
+    return np.argsort(np.array(fsim))
+
+
+def _assert_same_as_numpy_every_step(monkeypatch, fun, x0):
+    got = nelder_mead(fun, x0, **OPTIONS)
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_argsort", numpy_every_step)
+        want = nelder_mead(fun, x0, **OPTIONS)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert repr(got.fun) == repr(want.fun)
+    assert (got.nfev, got.nit) == (want.nfev, want.nit)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_memo_order_equals_numpy_every_step(monkeypatch, name):
+    fn, bounds = OBJECTIVES[name]
+    fun = lambda v: -fn(objectives._clip(v, bounds))
+    rng = np.random.default_rng(len(name))
+    starts = [x0.tolist() for x0, _ in _default_starts(name)]
+    starts += [[float(rng.uniform(lo, hi)) for lo, hi in bounds] for _ in range(10)]
+    for x0 in starts:
+        _assert_same_as_numpy_every_step(monkeypatch, fun, x0)
+
+
+def test_memo_order_equals_numpy_every_step_where_the_objective_is_nan(monkeypatch):
+    # NaN beyond p = 1.2: the simplex steps into it and sorts NaN vertices.
+    fn, bounds = OBJECTIVES["g_h3"]
+    fun = lambda v: math.nan if v[0] > 1.2 else -fn(objectives._clip(v, bounds))
+    for x0 in ([1.15, 0.5, 0.5], [1.19, 0.9, 0.1], [1.0, 0.0, 1.0]):
+        _assert_same_as_numpy_every_step(monkeypatch, fun, x0)

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from secstar import objectives
 from secstar.caratheodory import SchurPoint, caratheodory_from_schur
@@ -156,20 +157,33 @@ def test_maximize_result_dominates_grid():
 
 
 def box_grid_values(monkeypatch, name, grid):
-    """The flat grid values ``maximize_box`` ranks, as it computed them.
+    """The blocks of grid values ``maximize_box`` ranks, as it computed them:
+    (axis-0 index of the block's first slice, its flat values), in the order
+    it evaluated them.
 
-    ``top_k`` sees the grid one block at a time, in node order, and then the
-    blocks' candidates; the blocks are gathered here.
+    Each evaluated block is one array call of the objective and one call of
+    ``top_k``; a last ``top_k`` ranks the blocks' candidates.  A block that
+    a bound rules out is never evaluated.
     """
-    seen = []
+    fn, bounds = OBJECTIVES[name]
+    shape = objectives._default_grid(len(bounds)) if grid is None else (grid,) * len(bounds)
+    axis0 = np.linspace(*bounds[0], shape[0])
+    firsts, seen = [], []
+
+    def recording_fn(v):
+        if isinstance(v[0], np.ndarray):
+            firsts.append(int(np.flatnonzero(axis0 == np.ravel(v[0])[0])[0]))
+        return fn(v)
 
     def recording_top_k(values, k):
         seen.append(np.array(values))
         return top_k(values, k)
 
+    monkeypatch.setitem(OBJECTIVES, name, (recording_fn, bounds))
     monkeypatch.setattr(objectives, "top_k", recording_top_k)
     maximize_box(name, grid=grid, refine_starts=1)
-    return np.concatenate(seen[:-1])
+    assert len(firsts) == len(seen) - 1
+    return list(zip(firsts, seen[:-1]))
 
 
 def dense_grid(bounds, grid):
@@ -177,6 +191,13 @@ def dense_grid(bounds, grid):
     shape = objectives._default_grid(len(bounds)) if grid is None else (grid,) * len(bounds)
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
     return np.meshgrid(*axes, indexing="ij")
+
+
+def assert_blocks_are_dense_slices(blocks, dense):
+    """Each block is bit for bit its run of whole axis-0 slices of ``dense``."""
+    stride = math.prod(dense.shape[1:])
+    for lo, values in blocks:
+        assert values.tobytes() == dense[lo:lo + values.size // stride].ravel().tobytes()
 
 
 def printed_h3_majorant(p, x, y):
@@ -197,22 +218,93 @@ def printed_h3_majorant(p, x, y):
 @pytest.mark.parametrize("name", list(OBJECTIVES))
 def test_sparse_grid_values_equal_dense_bit_for_bit(monkeypatch, name, grid):
     fn, bounds = OBJECTIVES[name]
-    dense = np.asarray(fn(dense_grid(bounds, grid))).ravel()
-    assert np.array_equal(box_grid_values(monkeypatch, name, grid), dense)
+    mesh = dense_grid(bounds, grid)
+    dense = np.broadcast_to(fn(mesh), mesh[0].shape)
+    blocks = box_grid_values(monkeypatch, name, grid)
+    assert_blocks_are_dense_slices(blocks, dense)
+    if name not in objectives.GRID_BOUNDS:
+        # Every block is evaluated, in node order.
+        assert np.concatenate([v for _, v in blocks]).tobytes() == dense.ravel().tobytes()
 
 
 @pytest.mark.parametrize("grid", [None, 60])
 def test_g_h3_grid_values_are_the_printed_majorant(monkeypatch, grid):
     # Any regrouping of the terms moves last bits of the grid values.
-    printed = printed_h3_majorant(*dense_grid(OBJECTIVES["g_h3"][1], grid)).ravel()
-    assert np.array_equal(box_grid_values(monkeypatch, "g_h3", grid), printed)
+    printed = printed_h3_majorant(*dense_grid(OBJECTIVES["g_h3"][1], grid))
+    assert_blocks_are_dense_slices(box_grid_values(monkeypatch, "g_h3", grid), printed)
 
 
 def test_grid_values_fill_axes_the_objective_ignores(monkeypatch):
     bounds = ((0.0, 2.0), (0.0, 1.0))
     monkeypatch.setitem(OBJECTIVES, "k4_of_y", (lambda v: edge_k4(v[1]), bounds))
-    dense = edge_k4(dense_grid(bounds, 60)[1]).ravel()
-    assert np.array_equal(box_grid_values(monkeypatch, "k4_of_y", 60), dense)
+    dense = edge_k4(dense_grid(bounds, 60)[1])
+    blocks = box_grid_values(monkeypatch, "k4_of_y", 60)
+    assert np.concatenate([values for _, values in blocks]).tobytes() == dense.ravel().tobytes()
+
+
+def test_h3_grid_bound_dominates_every_line_at_its_vertex_too():
+    # Each (p, x) line peaks at an end or at the vertex of its quadratic in
+    # y; the surface's computed values there, and one ulp either side of the
+    # vertex, may round above the exact peak, which the slack covers.
+    rng = np.random.default_rng(28)
+    p = np.concatenate([rng.uniform(0.0, 2.0, 20_000), [0.0, 0.0, 2.0, 2.0]])
+    x = np.concatenate([rng.uniform(0.0, 1.0, 20_000), [0.0, 1.0, 0.0, 1.0]])
+    bound = objectives._h3_grid_bound([p[:, None, None], x[:, None, None]])
+    t, g1, g2, g3 = objectives._g_terms(p, x)
+    c = t * (144.0 * p * p + 288.0 * t * x) * (1.0 - x * x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(np.nan_to_num(g2 / (2.0 * (c - g3))), 0.0, 1.0)
+    assert np.count_nonzero((vertex > 0.0) & (vertex < 1.0)) > 500
+    for y in (0.0, 1.0, vertex, np.nextafter(vertex, 0.0), np.nextafter(vertex, 1.0)):
+        assert np.all(h3_bound_surface((p, x, y)) <= bound)
+
+
+def grid_top_blocks(shape, k, bound=None):
+    """(indices, values) of ``_grid_top`` for g_h3 on ``shape``, with the
+    axis-0 index of each block's first slice, in the order evaluated."""
+    fn, bounds = OBJECTIVES["g_h3"]
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
+    evaluated = []
+
+    def recording_fn(v):
+        evaluated.append(int(np.flatnonzero(axes[0] == v[0].ravel()[0])[0]))
+        return fn(v)
+
+    return objectives._grid_top(recording_fn, axes, shape, k, bound), evaluated
+
+
+@pytest.mark.parametrize("shape,k", [
+    ((201, 101, 101), 10),     # the default grid and start count
+    ((51, 51, 51), 1),
+    ((51, 51, 51), 2000),
+    ((120, 77, 90), 50),
+    ((73, 200, 200), 3000),
+    ((400, 60, 333), 20000),
+    ((73, 200, 200), 100_000),
+])
+def test_skipped_blocks_hold_no_node_of_the_top_k(shape, k):
+    (_, values), evaluated = grid_top_blocks(shape, k, objectives.GRID_BOUNDS["g_h3"])
+    rows = max(1, objectives.BLOCK_NODES // (shape[1] * shape[2]))
+    skipped = sorted(set(range(0, shape[0], rows)) - set(evaluated))
+    assert skipped
+    if shape == objectives._GRID_3D:
+        assert len(evaluated) == 1  # of 34
+    p, x, y = (np.linspace(lo, hi, n) for (lo, hi), n in zip(OBJECTIVES["g_h3"][1], shape))
+    for lo in skipped:
+        block = printed_h3_majorant(*np.meshgrid(p[lo:lo + rows], x, y, indexing="ij"))
+        assert block.max() < values[-1], lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(2, 70), st.integers(2, 60), st.integers(2, 60)),
+       block_nodes=st.integers(1, 20_000), data=st.data())
+def test_bounded_grid_scan_equals_the_full_scan(shape, block_nodes, data):
+    k = data.draw(st.integers(1, math.prod(shape)))
+    with mock.patch.object(objectives, "BLOCK_NODES", block_nodes):
+        (idx, values), _ = grid_top_blocks(shape, k, objectives.GRID_BOUNDS["g_h3"])
+        (want_idx, want_values), _ = grid_top_blocks(shape, k)
+    assert idx.tobytes() == want_idx.tobytes()
+    assert values.tobytes() == want_values.tobytes()
 
 
 def whole_grid_maximize_box(name, grid=None, refine_starts=10):
@@ -304,6 +396,22 @@ def test_block_scan_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
+def test_block_scan_memory_is_bounded_when_every_block_is_evaluated(monkeypatch):
+    # Without its bound g_h3 evaluates all 34 blocks, as every objective
+    # without a GRID_BOUNDS entry does.
+    monkeypatch.setattr(objectives, "GRID_BOUNDS", {})
+    calls = []
+    fn, bounds = OBJECTIVES["g_h3"]
+    monkeypatch.setitem(OBJECTIVES, "g_h3",
+                        (lambda v: calls.append(isinstance(v[0], np.ndarray)) or fn(v), bounds))
+    tracemalloc.start()
+    try:
+        maximize_box("g_h3", refine_starts=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert sum(calls) == 34
 def test_maximize_rejects_unknown_or_coarse():
     with pytest.raises(ValueError):
         maximize_box("nope")

@@ -204,6 +204,25 @@ def test_scan_stops_at_the_first_sign_change():
     assert repr(radii._bisect_newton(fn)) == repr(float64_node_bisect_newton(lambda r: 0.3 - r))
 
 
+def test_scan_trig_taken_once_keeps_every_result(monkeypatch):
+    # The scan nodes' cos and sin are computed once at import; each array
+    # pass, and so each solve, is the one that called np.cos and np.sin.
+    for eq, params in ((radii._starlike_order, (0.0, 0.5)), (radii._mu_beta, (1.5,)),
+                       (radii._convexity, (0.0, 0.5))):
+        for p in params:
+            assert (eq(radii._SCAN_NODES, p, radii._AT_SCAN_NODES).tobytes()
+                    == eq(radii._SCAN_NODES, p, np).tobytes())
+    rng = np.random.default_rng(2025)
+    domains = {"starlike_order": (0.0, 1.0), "mu_beta": (1.0, 2.0 * TWO_SEC_ONE),
+               "convexity": (0.0, 1.0), "m_starlike": (0.0, 1.0)}
+    cases = [(kind, float(p)) for kind, (lo, hi) in domains.items()
+             for p in [*np.linspace(lo, hi, 41)[1:-1], *rng.uniform(lo, hi, 40)]]
+    cases += [("starlike_order", 0.0), ("convexity", 0.0)]
+    got = [repr(solve_radius(kind, param)) for kind, param in cases]
+    monkeypatch.setattr(radii, "_AT_SCAN_NODES", np)
+    assert got == [repr(solve_radius(kind, param)) for kind, param in cases]
+
+
 def test_starlike_radius_decreasing_in_alpha():
     rs = [solve_radius("starlike_order", a).r for a in np.linspace(0, 0.95, 11)]
     assert all(b < a for a, b in zip(rs, rs[1:]))
