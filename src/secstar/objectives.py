@@ -71,12 +71,18 @@ def h2_reduced_polynomial(p: float) -> float:
 
 
 def _g_terms(p, x):
+    # p**3 and p**4 are computed once each: the same operations on the same
+    # operands, so the same bits.  Nothing of x's shape is shared: on a wide
+    # two-axis block an array held across the terms changes how the
+    # temporaries are allocated, and the scan slowed (notes/decisions.md,
+    # section 29).
     t = 4.0 - p * p
-    g1 = (5.0 * p**6 + 26.0 * p**4 * t * x + 144.0 * p * p * t * x * x
-          + 56.0 * p**4 * t * x * x + 68.0 * p * p * t * t * x * x
-          + 36.0 * p**4 * t * x**3 + 40.0 * p * p * t * t * x**3
+    p3, p4 = p**3, p**4
+    g1 = (5.0 * p**6 + 26.0 * p4 * t * x + 144.0 * p * p * t * x * x
+          + 56.0 * p4 * t * x * x + 68.0 * p * p * t * t * x * x
+          + 36.0 * p4 * t * x**3 + 40.0 * p * p * t * t * x**3
           + 8.0 * p * p * t * t * x**4)
-    g2 = t * (1.0 - x * x) * (40.0 * p**3 + 144.0 * p**3 * x
+    g2 = t * (1.0 - x * x) * (40.0 * p3 + 144.0 * p3 * x
                               + 80.0 * p * t * x + 32.0 * p * t * x * x)
     g3 = t * (1.0 - x * x) * (256.0 * t + 32.0 * t * x * x + 144.0 * p * p * x)
     return t, g1, g2, g3
@@ -84,7 +90,12 @@ def _g_terms(p, x):
 
 def h3_bound_surface(pt: BoxPoint | tuple[float, float, float]) -> float:
     """The cuboid majorant of |H3(1)| with the four summands as printed."""
-    p, x, y = (pt.p, pt.x, pt.y) if isinstance(pt, BoxPoint) else pt
+    return _h3_surface(*((pt.p, pt.x, pt.y) if isinstance(pt, BoxPoint) else pt))
+
+
+def _h3_surface(p, x, y):
+    """``h3_bound_surface`` at the coordinates, scalars or arrays: the
+    ``g_h3`` objective."""
     t, g1, g2, g3 = _g_terms(p, x)
     g4 = t * (1.0 - y * y) * (144.0 * p * p + 288.0 * t * x) * (1.0 - x * x)
     return (g1 + g2 * y + g3 * y * y + g4) / 36864.0
@@ -110,11 +121,11 @@ def face_x1(p: float) -> float:
 
 
 def face_y0(p: float, x: float) -> float:
-    return h3_bound_surface((p, x, 0.0))
+    return _h3_surface(p, x, 0.0)
 
 
 def face_y1(p: float, x: float) -> float:
-    return h3_bound_surface((p, x, 1.0))
+    return _h3_surface(p, x, 1.0)
 
 
 def edge_k1(p: float) -> float:
@@ -138,22 +149,21 @@ def edge_k6(x: float) -> float:
     return x * (1.0 - x * x) / 8.0
 
 
-#: name -> (vector objective, bounds per coordinate)
+#: name -> (objective of one argument per coordinate, bounds per coordinate)
 OBJECTIVES: dict[str, tuple[Callable[..., float], tuple[tuple[float, float], ...]]] = {
-    "g_h3": (lambda v: h3_bound_surface((v[0], v[1], v[2])),
-             ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0))),
-    "g_h2": (lambda v: h2_bound_surface(v[0], v[1]), ((0.0, 2.0), (0.0, 1.0))),
-    "g_h2_reduced": (lambda v: h2_reduced_polynomial(v[0]), ((0.0, 2.0),)),
-    "h1": (lambda v: face_p0(v[0], v[1]), ((0.0, 1.0), (0.0, 1.0))),
-    "h2": (lambda v: face_x0(v[0], v[1]), ((0.0, 2.0), (0.0, 1.0))),
-    "h3": (lambda v: face_x1(v[0]), ((0.0, 2.0),)),
-    "h4": (lambda v: face_y0(v[0], v[1]), ((0.0, 2.0), (0.0, 1.0))),
-    "h5": (lambda v: face_y1(v[0], v[1]), ((0.0, 2.0), (0.0, 1.0))),
-    "k1": (lambda v: edge_k1(v[0]), ((0.0, 2.0),)),
-    "k2": (lambda v: edge_k2(v[0]), ((0.0, 2.0),)),
-    "k4": (lambda v: edge_k4(v[0]), ((0.0, 1.0),)),
-    "k5": (lambda v: edge_k5(v[0]), ((0.0, 1.0),)),
-    "k6": (lambda v: edge_k6(v[0]), ((0.0, 1.0),)),
+    "g_h3": (_h3_surface, ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0))),
+    "g_h2": (h2_bound_surface, ((0.0, 2.0), (0.0, 1.0))),
+    "g_h2_reduced": (h2_reduced_polynomial, ((0.0, 2.0),)),
+    "h1": (face_p0, ((0.0, 1.0), (0.0, 1.0))),
+    "h2": (face_x0, ((0.0, 2.0), (0.0, 1.0))),
+    "h3": (face_x1, ((0.0, 2.0),)),
+    "h4": (face_y0, ((0.0, 2.0), (0.0, 1.0))),
+    "h5": (face_y1, ((0.0, 2.0), (0.0, 1.0))),
+    "k1": (edge_k1, ((0.0, 2.0),)),
+    "k2": (edge_k2, ((0.0, 2.0),)),
+    "k4": (edge_k4, ((0.0, 1.0),)),
+    "k5": (edge_k5, ((0.0, 1.0),)),
+    "k6": (edge_k6, ((0.0, 1.0),)),
 }
 
 _GRID_3D = (201, 101, 101)
@@ -172,6 +182,36 @@ def _clip(v, bounds) -> list[float]:
     -0.0 clipped to a 0.0 bound becomes the bound.  NaN passes through.
     """
     return [lo if a <= lo else hi if a >= hi else a for a, (lo, hi) in zip(v, bounds)]
+
+
+def _negated_clipped(fn, bounds):
+    """``lambda v: -fn(*_clip(v, bounds))``, the function Nelder-Mead
+    minimizes, built once per maximization: the clip is unrolled over the
+    one to three coordinates with the bounds in locals, so an evaluation
+    builds no list.  Each test is ``_clip``'s, in its order.
+    """
+    if len(bounds) == 1:
+        ((lo0, hi0),) = bounds
+
+        def fun(v):
+            (a,) = v
+            return -fn(lo0 if a <= lo0 else hi0 if a >= hi0 else a)
+    elif len(bounds) == 2:
+        (lo0, hi0), (lo1, hi1) = bounds
+
+        def fun(v):
+            a, b = v
+            return -fn(lo0 if a <= lo0 else hi0 if a >= hi0 else a,
+                       lo1 if b <= lo1 else hi1 if b >= hi1 else b)
+    else:
+        (lo0, hi0), (lo1, hi1), (lo2, hi2) = bounds
+
+        def fun(v):
+            a, b, c = v
+            return -fn(lo0 if a <= lo0 else hi0 if a >= hi0 else a,
+                       lo1 if b <= lo1 else hi1 if b >= hi1 else b,
+                       lo2 if c <= lo2 else hi2 if c >= hi2 else c)
+    return fun
 
 
 #: Nodes per block of the grid scan; a block is whole slices along axis 0,
@@ -246,7 +286,7 @@ def _grid_top(fn, axes, shape, k, bound=None) -> tuple[np.ndarray, np.ndarray]:
             continue
         lo = starts[i]
         block = (min(rows, shape[0] - lo),) + shape[1:]
-        flat = np.broadcast_to(fn([mesh[0][lo:lo + rows], *mesh[1:]]), block).ravel()
+        flat = np.broadcast_to(fn(mesh[0][lo:lo + rows], *mesh[1:]), block).ravel()
         best = top_k(flat, min(k, flat.size))
         kept[i] = (best + lo * stride, flat[best])
         if limits is not None:
@@ -288,6 +328,7 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
     starts, start_vals = _grid_top(fn, axes, shape, min(refine_starts, math.prod(shape)),
                                    GRID_BOUNDS.get(objective))
 
+    fun = _negated_clipped(fn, bounds)
     best_point = None
     best_val = -math.inf
     for k, node_val in zip(starts.tolist(), start_vals.tolist()):
@@ -295,10 +336,9 @@ def maximize_box(objective: str, grid: tuple[int, ...] | int | None = None,
         x0 = [float(axes[d][idx[d]]) for d in range(dim)]
         if node_val > best_val:
             best_val, best_point = node_val, tuple(x0)
-        res = minimize(lambda v: -fn(_clip(v, bounds)), x0,
-                       xatol=1e-12, fatol=1e-14, maxiter=2000)
+        res = minimize(fun, x0, xatol=1e-12, fatol=1e-14, maxiter=2000)
         cand = _clip(res.x.tolist(), bounds)
-        val = float(fn(cand))
+        val = float(fn(*cand))
         if val > best_val:
             best_val, best_point = val, tuple(cand)
     return best_point, best_val

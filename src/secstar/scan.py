@@ -244,32 +244,36 @@ def nelder_mead(fun: Callable[[list[float]], float], x0: Sequence[float],
     step is written element by element in scipy's operation order; ``fun``
     receives a fresh list of floats.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # scipy's coefficients rho = 1, chi = 2, psi = sigma = 0.5 are folded
+    # into each step: (1 + rho) a - rho w is 2 a - w bit for bit, as 1 * w
+    # is w, and the other steps keep their products' constants
+    # (notes/decisions.md, section 29).
     x0 = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(x0)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return float(fun(list(x)))
-
-    def by_value(sim, fsim):
-        order = _argsort(fsim)
-        return [sim[i] for i in order], [fsim[i] for i in order]
-
+    if n == 0:
+        raise ValueError("x0 needs at least one coordinate")
     sim = [x0]
     for k in range(n):
         vertex = list(x0)
         vertex[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
         sim.append(vertex)
-    sim, fsim = by_value(sim, [f(v) for v in sim])
+    fsim = [float(fun(v[:])) for v in sim]
+    nfev = n + 1
+    order = _argsort(fsim)
+    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
 
+    unmoved = tuple(range(n + 1))
     nit = 1
     while nit < maxiter:
         best, worst = sim[0], sim[-1]
-        # The cheaper f-spread test first; both halves are pure.
-        if (all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])
+        # Each term of the test is pure, so they may be taken in any order.
+        # The f-spread first: on the sorted values (NaN last) every
+        # |f0 - fv| is at most fsim[-1] - fsim[0], and -inf tied with f0,
+        # whose difference is NaN, sits at fsim[1].  Then the worst vertex's
+        # first coordinate, the x term likeliest to fail, before the
+        # generator over all of them (notes/decisions.md, section 29).
+        if (fsim[-1] - fsim[0] <= fatol and fsim[1] - fsim[0] <= fatol
+                and abs(worst[0] - best[0]) <= xatol
                 and all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))):
             break
         # The centroid of all but the worst vertex, summed in row order.
@@ -277,30 +281,36 @@ def nelder_mead(fun: Callable[[list[float]], float], x0: Sequence[float],
         for v in sim[1:-1]:
             total = [a + b for a, b in zip(total, v)]
         xbar = [a / n for a in total]
-        xr = [(1 + rho) * a - rho * w for a, w in zip(xbar, worst)]
-        fxr = f(xr)
+        xr = [2.0 * a - w for a, w in zip(xbar, worst)]
+        fxr = float(fun(xr[:]))
+        nfev += 1
         if fxr < fsim[0]:
-            xe = [(1 + rho * chi) * a - rho * chi * w for a, w in zip(xbar, worst)]
-            fxe = f(xe)
+            xe = [3.0 * a - 2.0 * w for a, w in zip(xbar, worst)]
+            fxe = float(fun(xe[:]))
+            nfev += 1
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = [(1 + psi * rho) * a - psi * rho * w for a, w in zip(xbar, worst)]
-                fxc = f(xc)
+                xc = [1.5 * a - 0.5 * w for a, w in zip(xbar, worst)]
+                fxc = float(fun(xc[:]))
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = [(1 - psi) * a + psi * w for a, w in zip(xbar, worst)]
-                fxc = f(xc)
+                xc = [0.5 * a + 0.5 * w for a, w in zip(xbar, worst)]
+                fxc = float(fun(xc[:]))
                 accept = fxc < fsim[-1]
+            nfev += 1
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 for j in range(1, n + 1):
-                    sim[j] = [b + sigma * (a - b) for a, b in zip(sim[j], best)]
-                    fsim[j] = f(sim[j])
+                    sim[j] = v = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
+                    fsim[j] = float(fun(v[:]))
+                nfev += n
         nit += 1
-        sim, fsim = by_value(sim, fsim)
+        order = _argsort(fsim)
+        if tuple(order) != unmoved:  # most steps keep the order
+            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     return NelderMeadResult(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev,
                             nit=nit)

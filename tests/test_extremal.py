@@ -1,9 +1,12 @@
 import cmath
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from secstar import cli
 from secstar.extremal import (ClassMember, build_extremal, distortion_envelope,
                               growth_envelope, rotation_bound)
 from secstar.generator import G_ORDER, g_series, phi_series
@@ -216,3 +219,32 @@ def test_rotation_bound_matches_extremal_argument(r):
 def test_rotation_bound_monotone():
     vals = [rotation_bound(r, samples=512) for r in (0.1, 0.3, 0.5, 0.7)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def exact_extremal(n, order):
+    """f_n's coefficients as exact rationals: sec from sec * cos = 1, phi_m =
+    sec_m + sec_{m-1}, then (k-1) a_k = sum_{j<k} q_{k-j} a_j with q =
+    phi(z^{n-1})."""
+    sec = [Fraction(1)] + [Fraction(0)] * order
+    for m in range(2, order + 1, 2):
+        sec[m] = -sum(Fraction((-1) ** (k // 2), math.factorial(k)) * sec[m - k]
+                      for k in range(2, m + 1, 2))
+    phi = [sec[0]] + [sec[m] + sec[m - 1] for m in range(1, order + 1)]
+    q = [Fraction(0)] * (order + 1)
+    q[::n - 1] = phi[:order // (n - 1) + 1]
+    a = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+    for k in range(2, order + 1):
+        a[k] = sum(q[k - j] * a[j] for j in range(1, k)) / (k - 1)
+    return a
+
+
+@pytest.mark.parametrize("n,first_wrong", [(2, 12), (3, 17)])
+def test_rational_guesses_are_exact_up_to_where_readme_says(capsys, n, first_wrong):
+    # The guesses are limit_denominator(10**6) of the floats: exact while the
+    # denominators stay small, wrong from a12 on for f2 and a17 on for f3.
+    assert cli.main(["extremal", "--n", str(n), "--order", "32"]) == 0
+    guesses = json.loads(capsys.readouterr().out)["rational_guesses"]
+    exact = [f"{a.numerator}/{a.denominator}" for a in exact_extremal(n, 32)]
+    assert exact_extremal(2, 7)[5::2] == [Fraction(5, 12), Fraction(1799, 8640)]
+    assert guesses[:first_wrong] == exact[:first_wrong]
+    assert guesses[first_wrong] != exact[first_wrong]

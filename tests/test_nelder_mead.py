@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 from secstar import objectives, scan
@@ -23,7 +23,7 @@ NAMES = sorted(OBJECTIVES)
 def _negated(name):
     fn, bounds = OBJECTIVES[name]
     lo, hi = np.array(bounds).T
-    return lambda v: -fn(np.clip(v, lo, hi))
+    return lambda v: -fn(*np.clip(v, lo, hi))
 
 
 @functools.cache
@@ -33,7 +33,7 @@ def _default_starts(name, count=10, grid=None):
     fn, bounds = OBJECTIVES[name]
     shape = _default_grid(len(bounds)) if grid is None else (grid,) * len(bounds)
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
-    flat = np.asarray(fn(np.meshgrid(*axes, indexing="ij"))).ravel()
+    flat = np.asarray(fn(*np.meshgrid(*axes, indexing="ij"))).ravel()
     starts = []
     for k in np.argsort(-flat, kind="stable")[:count]:
         idx = np.unravel_index(int(k), shape)
@@ -66,6 +66,12 @@ def test_matches_scipy_from_random_starts(name, data):
     _assert_same_run(_negated(name), x0, **OPTIONS)
 
 
+def test_rejects_a_start_without_coordinates():
+    # The stopping test reads fsim[1], so a simplex needs two vertices.
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        nelder_mead(lambda v: 0.0, [], xatol=1e-12, fatol=1e-14, maxiter=10)
+
+
 @pytest.mark.parametrize("maxiter", [1, 2, 7])
 def test_matches_scipy_when_maxiter_stops_it(maxiter):
     # Rosenbrock from a start with a zero coordinate: the 0.00025 vertex.
@@ -85,7 +91,7 @@ def _scipy_maximize_box(name, grid, refine_starts):
             best_val, best_point = node_val, tuple(float(v) for v in x0)
         res = scipy_minimize(fun, x0, method="Nelder-Mead", options=OPTIONS)
         cand = np.clip(res.x, lo, hi)
-        val = float(fn(cand))
+        val = float(fn(*cand))
         if val > best_val:
             best_val, best_point = val, tuple(float(v) for v in cand)
     return best_point, best_val
@@ -144,6 +150,79 @@ def test_clip_is_numpy_clip_with_array_bounds():
             want = np.clip(np.array([a, b]), lo, hi)
             got = _clip([a, b], bounds)
             assert np.array(got).tobytes() == want.tobytes(), (a, b)
+
+
+EDGES = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.0000000000000002, 2.0, 3.0,
+         math.inf, math.nan]
+
+
+def _outcome(call):
+    """repr of a call's value, or the type of what it raised."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_negated_clipped_objective_is_the_clip_then_the_objective(name):
+    # On and outside the box, at signed zeros, infinities and NaN, for each
+    # axis count: the unrolled clip hands the objective _clip's coordinates,
+    # and the function Nelder-Mead minimizes is -fn of them, bit for bit.
+    fn, bounds = OBJECTIVES[name]
+    seen = []
+    recorder = objectives._negated_clipped(lambda *v: seen.append(v) or 0.0, bounds)
+    fun = objectives._negated_clipped(fn, bounds)
+    for v in itertools.product(EDGES, repeat=len(bounds)):
+        v = list(v)
+        recorder(v)
+        assert repr(list(seen.pop())) == repr(objectives._clip(v, bounds)), v
+        assert (_outcome(lambda: fun(v))
+                == _outcome(lambda: -fn(*objectives._clip(v, bounds)))), v
+
+
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.0])
+VALUES = SPECIAL | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(VALUES, min_size=2, max_size=6),
+       fatol=st.sampled_from([0.0, 1e-14, 1.0, math.inf]) | st.floats(0.0, 10.0))
+@example(values=[-math.inf, 1.0, -math.inf], fatol=math.inf)
+def test_sorted_ends_spread_decides_like_every_difference(values, fatol):
+    # The stopping test's f half, on the first simplex: its vertices take
+    # ``values`` and the x half always holds, so the run stops at once
+    # exactly when every |f0 - fv| in the vertex order is within fatol.
+    # The sorted ends alone would pass -inf, -inf, 1 at an infinite fatol,
+    # where -inf - -inf is NaN.
+    calls = itertools.count()
+    run = nelder_mead(lambda v: values[next(calls) % len(values)], [1.0] * (len(values) - 1),
+                      xatol=math.inf, fatol=fatol, maxiter=2)
+    fsim = [values[i] for i in np.argsort(np.array(values))]
+    assert (run.nit == 1) == all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(VALUES, min_size=1, max_size=40),
+       x0=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+       fatol=st.sampled_from([0.0, 1e-14, 1.0, math.inf]),
+       xatol=st.sampled_from([math.inf, 1.0]))
+@example(values=[-math.inf, 1.0, -math.inf], x0=[0.5, 0.5], fatol=math.inf, xatol=math.inf)
+def test_matches_scipy_on_value_sequences_with_nan_inf_and_ties(values, x0, fatol, xatol):
+    # The k-th evaluation returns values[k % len(values)], whatever the
+    # point, so the f-spread test decides on NaN, infinities, signed zeros
+    # and ties: both ports must take the same steps and stop at the same one.
+    def sequence():
+        calls = itertools.count()
+        return lambda v: values[next(calls) % len(values)]
+
+    options = {"xatol": xatol, "fatol": fatol, "maxiter": 60}
+    with np.errstate(all="ignore"):
+        want = scipy_minimize(sequence(), np.array(x0), method="Nelder-Mead", options=options)
+    got = nelder_mead(sequence(), x0, **options)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert repr(got.fun) == repr(float(want.fun))
+    assert (got.nfev, got.nit) == (want.nfev, want.nit)
 
 
 def weak_orders(n):
@@ -206,7 +285,7 @@ def _assert_same_as_numpy_every_step(monkeypatch, fun, x0):
 @pytest.mark.parametrize("name", NAMES)
 def test_memo_order_equals_numpy_every_step(monkeypatch, name):
     fn, bounds = OBJECTIVES[name]
-    fun = lambda v: -fn(objectives._clip(v, bounds))
+    fun = lambda v: -fn(*objectives._clip(v, bounds))
     rng = np.random.default_rng(len(name))
     starts = [x0.tolist() for x0, _ in _default_starts(name)]
     starts += [[float(rng.uniform(lo, hi)) for lo, hi in bounds] for _ in range(10)]
@@ -217,6 +296,6 @@ def test_memo_order_equals_numpy_every_step(monkeypatch, name):
 def test_memo_order_equals_numpy_every_step_where_the_objective_is_nan(monkeypatch):
     # NaN beyond p = 1.2: the simplex steps into it and sorts NaN vertices.
     fn, bounds = OBJECTIVES["g_h3"]
-    fun = lambda v: math.nan if v[0] > 1.2 else -fn(objectives._clip(v, bounds))
+    fun = lambda v: math.nan if v[0] > 1.2 else -fn(*objectives._clip(v, bounds))
     for x0 in ([1.15, 0.5, 0.5], [1.19, 0.9, 0.1], [1.0, 0.0, 1.0]):
         _assert_same_as_numpy_every_step(monkeypatch, fun, x0)

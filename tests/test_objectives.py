@@ -152,7 +152,7 @@ def test_maximize_result_dominates_grid():
     fn, bounds = OBJECTIVES["h1"]
     _, value = maximize_box("h1", grid=101)
     xs = np.linspace(0, 1, 101)
-    grid_best = max(fn((x, y)) for x in xs for y in xs)
+    grid_best = max(fn(x, y) for x in xs for y in xs)
     assert value >= grid_best - 1e-15
 
 
@@ -170,10 +170,10 @@ def box_grid_values(monkeypatch, name, grid):
     axis0 = np.linspace(*bounds[0], shape[0])
     firsts, seen = [], []
 
-    def recording_fn(v):
+    def recording_fn(*v):
         if isinstance(v[0], np.ndarray):
             firsts.append(int(np.flatnonzero(axis0 == np.ravel(v[0])[0])[0]))
-        return fn(v)
+        return fn(*v)
 
     def recording_top_k(values, k):
         seen.append(np.array(values))
@@ -219,7 +219,7 @@ def printed_h3_majorant(p, x, y):
 def test_sparse_grid_values_equal_dense_bit_for_bit(monkeypatch, name, grid):
     fn, bounds = OBJECTIVES[name]
     mesh = dense_grid(bounds, grid)
-    dense = np.broadcast_to(fn(mesh), mesh[0].shape)
+    dense = np.broadcast_to(fn(*mesh), mesh[0].shape)
     blocks = box_grid_values(monkeypatch, name, grid)
     assert_blocks_are_dense_slices(blocks, dense)
     if name not in objectives.GRID_BOUNDS:
@@ -234,9 +234,22 @@ def test_g_h3_grid_values_are_the_printed_majorant(monkeypatch, grid):
     assert_blocks_are_dense_slices(box_grid_values(monkeypatch, "g_h3", grid), printed)
 
 
+def test_g_h3_scalar_values_are_the_printed_majorant():
+    # Nelder-Mead evaluates the surface on Python floats: the shared powers
+    # of _g_terms must give the printed form's bits there too.
+    rng = np.random.default_rng(29)
+    points = np.column_stack([rng.uniform(0.0, 2.0, 5000), rng.uniform(0.0, 1.0, 5000),
+                              rng.uniform(0.0, 1.0, 5000)]).tolist()
+    points += [[0.0, 0.0, 0.0], [2.0, 1.0, 1.0], [-0.0, 1.0, -0.0], [2.0, -0.0, 0.5]]
+    fn = OBJECTIVES["g_h3"][0]
+    for p, x, y in points:
+        assert repr(fn(p, x, y)) == repr(printed_h3_majorant(p, x, y)), (p, x, y)
+        assert repr(h3_bound_surface((p, x, y))) == repr(printed_h3_majorant(p, x, y))
+
+
 def test_grid_values_fill_axes_the_objective_ignores(monkeypatch):
     bounds = ((0.0, 2.0), (0.0, 1.0))
-    monkeypatch.setitem(OBJECTIVES, "k4_of_y", (lambda v: edge_k4(v[1]), bounds))
+    monkeypatch.setitem(OBJECTIVES, "k4_of_y", (lambda p, y: edge_k4(y), bounds))
     dense = edge_k4(dense_grid(bounds, 60)[1])
     blocks = box_grid_values(monkeypatch, "k4_of_y", 60)
     assert np.concatenate([values for _, values in blocks]).tobytes() == dense.ravel().tobytes()
@@ -266,9 +279,9 @@ def grid_top_blocks(shape, k, bound=None):
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
     evaluated = []
 
-    def recording_fn(v):
+    def recording_fn(*v):
         evaluated.append(int(np.flatnonzero(axes[0] == v[0].ravel()[0])[0]))
-        return fn(v)
+        return fn(*v)
 
     return objectives._grid_top(recording_fn, axes, shape, k, bound), evaluated
 
@@ -316,7 +329,7 @@ def whole_grid_maximize_box(name, grid=None, refine_starts=10):
              else (grid,) * dim if isinstance(grid, int) else tuple(grid))
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    flat = np.broadcast_to(fn(mesh), shape).ravel()
+    flat = np.broadcast_to(fn(*mesh), shape).ravel()
     best_point, best_val = None, -math.inf
     for k in top_k(flat, min(refine_starts, flat.size)):
         idx = np.unravel_index(int(k), shape)
@@ -324,10 +337,10 @@ def whole_grid_maximize_box(name, grid=None, refine_starts=10):
         node_val = float(flat[k])
         if node_val > best_val:
             best_val, best_point = node_val, tuple(x0)
-        res = objectives.minimize(lambda v: -fn(objectives._clip(v, bounds)), x0,
+        res = objectives.minimize(lambda v: -fn(*objectives._clip(v, bounds)), x0,
                                   xatol=1e-12, fatol=1e-14, maxiter=2000)
         cand = objectives._clip(res.x.tolist(), bounds)
-        val = float(fn(cand))
+        val = float(fn(*cand))
         if val > best_val:
             best_val, best_point = val, tuple(cand)
     return best_point, best_val
@@ -375,7 +388,7 @@ def recorded_starts(monkeypatch, run):
 ])
 def test_starts_larger_than_a_block_equal_whole_grid(monkeypatch, name, grid, refine_starts,
                                                      block_nodes):
-    monkeypatch.setitem(OBJECTIVES, "k4_of_y", (lambda v: edge_k4(v[1]),
+    monkeypatch.setitem(OBJECTIVES, "k4_of_y", (lambda p, y: edge_k4(y),
                                                 ((0.0, 2.0), (0.0, 1.0))))
     monkeypatch.setattr(objectives, "BLOCK_NODES", block_nodes)
     got = recorded_starts(monkeypatch, lambda: maximize_box(name, grid, refine_starts))
@@ -403,7 +416,7 @@ def test_block_scan_memory_is_bounded_when_every_block_is_evaluated(monkeypatch)
     calls = []
     fn, bounds = OBJECTIVES["g_h3"]
     monkeypatch.setitem(OBJECTIVES, "g_h3",
-                        (lambda v: calls.append(isinstance(v[0], np.ndarray)) or fn(v), bounds))
+                        (lambda *v: calls.append(isinstance(v[0], np.ndarray)) or fn(*v), bounds))
     tracemalloc.start()
     try:
         maximize_box("g_h3", refine_starts=1)

@@ -326,7 +326,7 @@ def test_cli_caps_member_counts(capsys, monkeypatch, argv, flag):
 # them) passes the check and reaches a patched function.
 @pytest.mark.parametrize("argv,flag,bound", [
     (["optimize", "--objective", "k1", "--grid"], "--grid", 1_000_000),
-    (["optimize", "--objective", "g_h2", "--grid"], "--grid", 100_000),
+    (["optimize", "--objective", "g_h2", "--grid"], "--grid", 30_000),
     (["optimize", "--objective", "g_h3", "--grid"], "--grid", 2_000),
     (["convolution-check", "--n", "3", "--theta-samples"], "--theta-samples", 1_000_000),
     (["convolution-check", "--n", "3", "--z-radii"], "--z-radii", 1_000),
