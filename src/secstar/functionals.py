@@ -64,8 +64,10 @@ FS_MUS = (0.0, 0.25, 0.5, 1.0, 1.25, 2.0)
 THETA_SAMPLES = 720
 #: Outer radius of the z grid of convolution_margin.
 MAX_RADIUS = 0.99
-#: Consecutive theta rows per block of the coarse-grid search.
-ROW_BLOCK = 7
+#: Consecutive theta rows per superblock of the grid search.
+SUPERBLOCK_ROWS = 56
+#: Cells per chunk of the grid search's row screen.
+SCREEN_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -236,14 +238,19 @@ def _grid_argmin(member: ClassMember, thetas: np.ndarray,
     expression |f'(z) - phi_t f(z)/z|, phi_t = phi(e^{i theta}), bit for bit,
     without the array; the value is its minimum, a NaN first included.
 
-    Rows are evaluated one at a time into one buffer.  The rows are split
-    into blocks of ROW_BLOCK consecutive thetas, and each block's middle row
-    s is evaluated first.  Since |df - phi_i F| >= |df - phi_s F|
-    - |phi_i - phi_s| |F|, no row of a block can reach the least middle-row
-    value U when min_j(row_s - spread |F|) exceeds U by more than the
-    rounding slack; such a block is skipped (notes/decisions.md, section 22).
-    The least row minimum wins, ties going to the lower row, and ``argmin``
-    takes the lowest j within a row: numpy's C-order first occurrence.
+    Rows are evaluated one at a time into one buffer, and only rows a bound
+    cannot rule out.  The thetas are split into superblocks of
+    SUPERBLOCK_ROWS consecutive rows, and the phi values of each lie in a
+    disk (C, R), so every value of the superblock at z_j is at least
+    |df_j - C F_j| - R |F_j|.  One row seeds the least value U found; the
+    superblocks are then visited in ascending order of their least bound.
+    In each, only the columns whose bound may reach U are kept, each row is
+    screened by its values at those columns, and only the rows the screen
+    lets through are evaluated in full, lowering U.  Every test keeps a
+    rounding slack and passes ties, so a row left out holds only values
+    above the minimum (notes/decisions.md, sections 22 and 30).  The least
+    row minimum wins, ties going to the lower row, and ``argmin`` takes the
+    lowest j within a row: numpy's C-order first occurrence.
     """
     phi_t = _phi_values(np.exp(1j * thetas))
     f_over_z, df = _series_on_grid(member, zs)
@@ -256,36 +263,69 @@ def _grid_argmin(member: ClassMember, thetas: np.ndarray,
         _row_values(phi_t[i], f_over_z, df, row, vals)
         args[i] = j = np.argmin(vals)
         mins[i] = vals[j]
+        return mins[i]
 
     abs_f = np.abs(f_over_z)
     scale = (float(np.abs(df).max())
              + float(np.abs(phi_t).max()) * float(abs_f.max()))
-    # Each product, difference and modulus of a row is below 4.3 scale, so a
-    # finite 8 scale means every row value and every bound is finite.  Python
-    # floats, unlike numpy's, overflow to inf without a warning.
+    # Each product, difference and modulus of a row or bound is below 4.3
+    # scale, so a finite 8 scale means every row value and every bound is
+    # finite.  Python floats, unlike numpy's, overflow to inf without a
+    # warning.
     if not math.isfinite(8.0 * scale):
         for i in range(thetas.size):
             evaluate(i)
     else:
-        # The slack covers the rounding of the row values and of the bound,
+        # The slack covers the rounding of the row values and of the bounds,
         # each a few ulps of scale.
         slack = 1e-12 * scale
+        k = SUPERBLOCK_ROWS
+        # The phi values of a superblock lie in their bounding box, so in
+        # the disk about its centre through its corners.
+        starts = np.arange(0, thetas.size, k)
+        re_lo, re_hi, im_lo, im_hi = (ufunc.reduceat(part, starts)
+                                      for part in (phi_t.real, phi_t.imag)
+                                      for ufunc in (np.minimum, np.maximum))
+        centers = 0.5 * (re_lo + re_hi) + 0.5j * (im_lo + im_hi)
+        radii = 0.5 * np.hypot(re_hi - re_lo, im_hi - im_lo)
         bound = np.empty(zs.size)
-        blocks = []
-        for start in range(0, thetas.size, ROW_BLOCK):
-            stop = min(start + ROW_BLOCK, thetas.size)
-            s = (start + stop - 1) // 2
-            evaluate(s)
-            spread = np.abs(phi_t[start:stop] - phi_t[s]).max()
-            np.multiply(abs_f, spread, out=bound)
-            np.subtract(vals, bound, out=bound)
-            blocks.append((bound.min() - slack, start, stop, s))
-        least = mins.min()
-        for low, start, stop, s in blocks:
-            if low <= least:
-                for i in range(start, stop):
-                    if i != s:
-                        evaluate(i)
+        spread = np.empty(zs.size)
+
+        def disk_bound(s):
+            np.multiply(centers[s], f_over_z, out=row)
+            np.subtract(df, row, out=row)
+            np.abs(row, out=bound)
+            np.multiply(abs_f, radii[s], out=spread)
+            np.subtract(bound, spread, out=bound)
+
+        lows = []
+        for s in range(centers.size):
+            disk_bound(s)
+            lows.append(bound.min() - slack)
+        order = sorted(range(centers.size), key=lows.__getitem__)
+        # The seed: the row of the best superblock least at its best column.
+        disk_bound(order[0])
+        j = np.argmin(bound)
+        start = order[0] * k
+        seed = start + int(np.argmin(np.abs(df[j] - phi_t[start:start + k] * f_over_z[j])))
+        least = evaluate(seed)
+        for s in order:
+            if lows[s] > least:
+                break
+            start = s * k
+            block = phi_t[start:start + k]
+            disk_bound(s)
+            cols = np.flatnonzero(bound - slack <= least)
+            d, f = df[cols], f_over_z[cols]
+            step = max(1, SCREEN_CELLS // cols.size)
+            screen = np.concatenate([np.abs(d - block[lo:lo + step, None] * f).min(axis=1)
+                                     for lo in range(0, block.size, step)]) - slack
+            # Least screen first, so that U falls as early as it can.
+            for i in np.argsort(screen):
+                if screen[i] > least:
+                    break
+                if start + i != seed:
+                    least = min(least, evaluate(start + i))
     i = int(np.argmin(mins))
     return i, int(args[i]), float(mins[i])
 
@@ -296,10 +336,11 @@ def convolution_margin(member: ClassMember, theta_samples: int = THETA_SAMPLES,
 
     A positive margin is consistent with class membership; a near-zero or
     negative value flags a violation.  The grid minimum is found row by row
-    (:func:`_grid_argmin`), skipping blocks of theta rows that a bound rules
-    out, so memory does not grow with ``theta_samples``; it is the cell and
-    value numpy's ``argmin`` gives over the whole grid.  One refinement pass,
-    searched the same way, shrinks the grid around the minimizing cell.
+    (:func:`_grid_argmin`), evaluating only the theta rows that a bound
+    cannot rule out, so memory does not grow with ``theta_samples``; it is
+    the cell and value numpy's ``argmin`` gives over the whole grid.  One
+    refinement pass, searched the same way, shrinks the grid around the
+    minimizing cell.
     """
     if theta_samples < 360:
         raise ValueError("need at least 360 theta samples")

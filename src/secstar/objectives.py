@@ -49,11 +49,12 @@ def h2_bound_surface(p: float, rho: float) -> float:
     """Printed majorant of 768 |H2(2)|, scaled back by 1/768.
 
     Accepts scalars or equal-shaped arrays (the maximizer passes its mesh).
+    A NaN coordinate gives NaN, as in every other objective.
     """
-    inside = (0.0 <= p) & (p <= 2.0) & (0.0 <= rho) & (rho <= 1.0)
-    # A Python bool for scalar input (each Nelder-Mead step), where np.all
+    outside = (p < 0.0) | (2.0 < p) | (rho < 0.0) | (1.0 < rho)
+    # A Python bool for scalar input (each Nelder-Mead step), where np.any
     # would cost five times the surface itself.
-    if inside is not True and not np.all(inside):
+    if outside is not False and np.any(outside):
         raise ValueError("(p, rho) outside [0,2]x[0,1]")
     t = 4.0 - p * p
     return (p**4 + 12.0 * p * p * t * rho

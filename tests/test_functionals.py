@@ -11,8 +11,8 @@ from secstar import functionals
 from secstar.caratheodory import (measure_equal_atoms, member_from_measure,
                                   sample_measure)
 from secstar.extremal import ClassMember, build_extremal
-from secstar.functionals import (K1, MAX_RADIUS, ROW_BLOCK, THETA_SAMPLES, an_bound,
-                                 coefficient_sum_margin, compute_report,
+from secstar.functionals import (K1, MAX_RADIUS, SUPERBLOCK_ROWS, THETA_SAMPLES,
+                                 an_bound, coefficient_sum_margin, compute_report,
                                  convolution_margin, fs_bound,
                                  sufficient_coefficient_check)
 from secstar.generator import RE_MAX, _phi_values
@@ -285,18 +285,74 @@ def grid_member(name):
     return identity_member() if name == "identity" else oracle_member(name)
 
 
+def search_recording_rows(member, thetas, zs):
+    """_grid_argmin's (i, j, value), and the rows it evaluated, in order.  A
+    row whose phi repeats is taken as the first copy not yet evaluated: the
+    copies have the same values."""
+    phi_t = _phi_values(np.exp(1j * thetas))
+    evaluate = functionals._row_values
+    seen = []
+
+    def recorded(pt, *args):
+        rows = [int(i) for i in np.flatnonzero(phi_t == pt) if i not in seen]
+        assert rows, "a row evaluated twice"
+        seen.append(rows[0])
+        return evaluate(pt, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functionals, "_row_values", recorded)
+        found = functionals._grid_argmin(member, thetas, zs)
+    return found, seen
+
+
+def assert_rows_left_out_lie_above(member, thetas, zs):
+    """The search finds the full array's argmin, and every row it did not
+    evaluate has all its values strictly above the value it returned."""
+    found, rows = search_recording_rows(member, thetas, zs)
+    values = convolution_values(member, thetas, zs)
+    assert_same_argmin(found, full_argmin(values))
+    left_out = np.ones(thetas.size, dtype=bool)
+    left_out[rows] = False
+    assert np.all(values[left_out].min(axis=1) > found[2])
+
+
 @settings(max_examples=60)
 @given(name=st.sampled_from(["identity", *ORACLE_MEMBERS]),
-       blocks=st.integers(0, 160), extra=st.integers(1, ROW_BLOCK - 1),
+       blocks=st.integers(0, 20), extra=st.integers(1, SUPERBLOCK_ROWS - 1),
        z_radii=st.integers(2, 12), z_angles=st.integers(2, 40))
 def test_row_search_matches_full_argmin(name, blocks, extra, z_radii, z_angles):
-    # T is never a multiple of the block size, so the last block is short;
-    # the identity member's rows are constant in z, so every z of a row ties.
-    member = grid_member(name)
-    thetas, zs = margin_grid(blocks * ROW_BLOCK + extra, z_radii, z_angles)
-    assert_same_argmin(functionals._grid_argmin(member, thetas, zs),
-                       full_argmin(convolution_values(
-                           member, thetas, zs)))
+    # T is never a multiple of the superblock size, so the last superblock is
+    # short, and with no whole superblock there is only the short one; the
+    # identity member's rows are constant in z, so every z of a row ties.
+    assert_rows_left_out_lie_above(grid_member(name),
+                                   *margin_grid(blocks * SUPERBLOCK_ROWS + extra,
+                                                z_radii, z_angles))
+
+
+@pytest.mark.parametrize("grid", [(THETA_SAMPLES, 24, 96), (360, 8, 32)],
+                         ids=["default", "360x8x32"])
+@pytest.mark.parametrize("name", ORACLE_MEMBERS)
+def test_rows_left_out_hold_only_values_above_the_minimum(name, grid):
+    assert_rows_left_out_lie_above(grid_member(name), *margin_grid(*grid))
+
+
+@settings(max_examples=40)
+@given(theta=st.floats(-3.0, 3.0), gap=st.floats(1e-3, 0.3), beyond=st.floats(0.1, 3.0))
+def test_rows_tied_across_superblocks_go_to_the_lowest(theta, gap, beyond):
+    # The first superblock holds only phi_a and phi_b, so its disk has them
+    # at the ends of a diameter.  A quadratic member puts f'(z) z / f(z) at
+    # z = 1/2 on their line, beyond phi_b, where that disk's bound equals row
+    # b's value in exact arithmetic; rounded, it is above it in about half
+    # of these grids.  The second superblock repeats row b with a disk of
+    # radius 0, so its bound is exact and the seed row is one of its copies
+    # of row b.  Row 1 ties with that seed and is the lowest minimum: only
+    # the slack lets the first superblock in.
+    thetas = np.array([theta, theta + gap] + [theta] * (SUPERBLOCK_ROWS - 2)
+                      + [theta + gap] * 2)
+    phi_a, phi_b = _phi_values(np.exp(1j * thetas[:2]))
+    w = phi_b + beyond * (phi_b - phi_a)
+    member = ClassMember(PowerSeries(np.array([0, 1, 2 * (w - 1) / (2 - w)])))
+    assert_rows_left_out_lie_above(member, thetas, np.array([0.5 + 0j]))
 
 
 @pytest.mark.parametrize("a2", [1e307, 1e308])
@@ -312,25 +368,13 @@ def test_row_search_evaluates_every_row_where_values_may_overflow(a2):
                                member, thetas, zs)))
 
 
-def test_row_search_skips_blocks_for_the_extremals(monkeypatch):
-    evaluate = functionals._row_values
-    rows = []
-
-    def counted(*args):
-        rows.append(args[0])
-        return evaluate(*args)
-
-    monkeypatch.setattr(functionals, "_row_values", counted)
+def test_row_search_skips_blocks_for_the_extremals():
+    # Each of f2..f8 evaluates fewer than a tenth of the coarse rows, none
+    # twice.
     thetas, zs = margin_grid(THETA_SAMPLES, 24, 96)
-    counts = []
     for n in range(2, 9):
-        rows.clear()
-        functionals._grid_argmin(build_extremal(n, 32), thetas, zs)
-        counts.append(len(rows))
-    # Every block's middle row is evaluated; each member skips some blocks,
-    # and the seven together skip more than half of all rows.
-    assert all(-(-THETA_SAMPLES // ROW_BLOCK) <= c < THETA_SAMPLES for c in counts)
-    assert sum(counts) < 0.5 * 7 * THETA_SAMPLES
+        rows = search_recording_rows(build_extremal(n, 32), thetas, zs)[1]
+        assert len(rows) < THETA_SAMPLES // 10, n
 
 
 def test_convolution_margin_memory_does_not_grow_with_theta_samples():

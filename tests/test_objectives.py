@@ -32,11 +32,20 @@ def test_h2_surface_values():
 def test_h2_surface_rejects_outside_box():
     # Python floats take the scalar domain test, numpy values the array one.
     for p, rho in ((2.5, 0.5), (-0.1, 0.5), (1.0, 1.5), (1.0, -1e-300),
-                   (math.nan, 0.5), (1.0, math.nan)):
+                   (math.inf, 0.5), (1.0, -math.inf), (math.nan, 1.5), (-1.0, math.nan)):
         for args in ((p, rho), (np.float64(p), np.float64(rho)),
                      (np.array([1.0, p]), np.array([0.5, rho]))):
             with pytest.raises(ValueError):
                 h2_bound_surface(*args)
+
+
+def test_h2_surface_is_nan_at_a_nan_coordinate():
+    # As in every other objective; the rest of an array keeps its values.
+    for p, rho in ((math.nan, 0.5), (1.0, math.nan), (math.nan, math.nan)):
+        assert math.isnan(h2_bound_surface(p, rho))
+        assert np.isnan(h2_bound_surface(np.float64(p), np.float64(rho)))
+        got = h2_bound_surface(np.array([0.0, p]), np.array([1.0, rho]))
+        assert got[0] == 0.25 and np.isnan(got[1])
 
 
 def test_h2_reduced_matches_rho_one_section():
