@@ -13,7 +13,7 @@ there (by a test's monkeypatch or a tracer) is what ``secstar.<name>`` gives.
 import importlib
 
 _EXPORTS = {
-    "series": ("PowerSeries", "elementary"),
+    "series": ("elementary",),
     "generator": ("CircleSample", "ImageRegion", "PhiBounds", "g_eval", "g_series",
                   "image_region", "phi_eval", "phi_global_bounds", "phi_series",
                   "radial_real_range", "sample_circle"),

@@ -38,7 +38,7 @@ import numpy as np
 
 from .extremal import ClassMember
 from .generator import _phi_values, phi_series
-from .series import PowerSeries, compose_rows, div_rows, lift_rows
+from .series import compose_rows, div_rows, lift_rows
 
 __all__ = [
     "HerglotzMeasure",
@@ -343,7 +343,7 @@ def member_rows(weights: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
     num[:, 0] -= 1.0
     den[:, 0] += 1.0
     omega = div_rows(num, den)
-    return lift_rows(compose_rows(phi_series(order).coeffs, omega))
+    return lift_rows(compose_rows(phi_series(order), omega))
 
 
 def _kernel_rows(weights: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -399,7 +399,7 @@ def p_eval_from_measure(m: HerglotzMeasure, z) -> np.ndarray:
 
 def member_from_measure(m: HerglotzMeasure, order: int) -> ClassMember:
     """Synthesize a class member: omega = (p-1)/(p+1), q = phi(omega), lift."""
-    return ClassMember(PowerSeries(member_rows(*pack_measures([m]), order)[0]),
+    return ClassMember(member_rows(*pack_measures([m]), order)[0],
                        provenance=(f"herglotz-sample:seed={m.seed}"
                                    if m.seed is not None else "herglotz-manual"))
 

@@ -115,15 +115,13 @@ def _member_from_args(args, least_order: int):
 def _cmd_coeffs(args) -> int:
     from . import generator
     from .series import elementary
-    if args.function in ("cos", "sin", "exp", "geometric", "identity"):
-        s = elementary(args.function, args.order)
-    elif args.function == "sec":
-        s = 1.0 / elementary("cos", args.order)
-    elif args.function == "phi":
-        s = generator.phi_series(args.order)
+    if args.function == "phi":
+        c = generator.phi_series(args.order)
+    elif args.function == "g":
+        c = generator.g_series(args.order)
     else:
-        s = generator.g_series(args.order)
-    coeffs = s.coeffs.tolist()
+        c = elementary(args.function, args.order)
+    coeffs = c.tolist()
     _emit(args, {"function": args.function, "order": args.order, "coeffs": coeffs},
           csv_header=["n", "re", "im"],
           csv_rows=[[i, c.real, c.imag] for i, c in enumerate(coeffs)])
@@ -162,7 +160,7 @@ def _cmd_extremal(args) -> int:
     from . import extremal
     _require_order(args, args.n)
     member = extremal.build_extremal(args.n, args.order)
-    coeffs = member.coeffs.coeffs.tolist()
+    coeffs = member.coeffs.tolist()
     guesses = [_rational_guess(c.real) for c in coeffs]
     payload = {"n": args.n, "order": args.order, "provenance": member.provenance,
                "coefficients": coeffs, "rational_guesses": guesses}

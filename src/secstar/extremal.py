@@ -22,7 +22,6 @@ import numpy as np
 
 from .generator import G_ORDER, g_eval, g_series, phi_series
 from .scan import refine_max
-from .series import PowerSeries
 
 __all__ = [
     "ClassMember",
@@ -33,38 +32,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassMember:
     """Normalized analytic function given by its coefficient series.
 
     The series must satisfy c0 = 0 and c1 = 1 exactly, with every
-    coefficient finite.
+    coefficient finite.  ``coeffs`` holds a read-only complex128 copy of it.
+    Members compare and hash by identity.
     """
 
-    coeffs: PowerSeries
+    coeffs: np.ndarray
     provenance: str = "manual"
 
     def __post_init__(self):
-        c = self.coeffs.coeffs
-        if c.size < 2 or c[0] != 0 or c[1] != 1:
+        c = np.array(self.coeffs, dtype=np.complex128)
+        if c.ndim != 1 or c.size < 2 or c[0] != 0 or c[1] != 1:
             raise ValueError("class member needs c0 = 0 and c1 = 1 exactly")
         if not np.isfinite(c).all():
             raise ValueError("class member needs finite coefficients")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def order(self) -> int:
-        return self.coeffs.order
+        return self.coeffs.size - 1
 
     def a(self, n: int) -> complex:
-        return self.coeffs[n]
-
-
-def _phi_of_power(order: int, m: int) -> PowerSeries:
-    """Series of phi(z^m) at the given order (m >= 1)."""
-    q = phi_series(order // m if m > 1 else order).coeffs
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[:: m] = q[: order // m + 1]
-    return PowerSeries(c)
+        return complex(self.coeffs[n])
 
 
 def build_extremal(n: int, order: int) -> ClassMember:
@@ -78,13 +72,13 @@ def build_extremal(n: int, order: int) -> ClassMember:
         raise ValueError("extremal index must be >= 2")
     if order < n:
         raise ValueError("order must be at least n")
-    q = _phi_of_power(order, n - 1)
-    qc = q.coeffs
+    q = np.zeros(order + 1, dtype=np.complex128)
+    q[:: n - 1] = phi_series(order // (n - 1))  # phi(z^{n-1})
     a = np.zeros(order + 1, dtype=np.complex128)
     a[1] = 1.0
     for k in range(2, order + 1):
-        a[k] = np.dot(qc[1:k][::-1], a[1:k]) / (k - 1)
-    return ClassMember(PowerSeries(a), provenance=f"extremal-{n}")
+        a[k] = np.dot(q[1:k][::-1], a[1:k]) / (k - 1)
+    return ClassMember(a, provenance=f"extremal-{n}")
 
 
 def growth_envelope(r: float) -> tuple[float, float]:
@@ -116,5 +110,5 @@ def rotation_bound(r: float, samples: int = 1024) -> float:
     if r == 0.0:
         return 0.0
     theta = np.linspace(0.0, math.pi, samples)
-    values = np.abs(g_series(G_ORDER).evaluate(r * np.exp(1j * theta)).imag)
+    values = np.abs(np.polyval(g_series(G_ORDER)[::-1], r * np.exp(1j * theta)).imag)
     return refine_max(lambda t: abs(g_eval(r * cmath.exp(1j * t)).imag), theta, values)[1]

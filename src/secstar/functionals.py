@@ -25,7 +25,7 @@ import numpy as np
 
 from .extremal import ClassMember
 from .generator import RE_MAX, _phi_values
-from .series import PowerSeries
+from .series import derivative
 
 __all__ = [
     "SHARP_BOUNDS",
@@ -188,7 +188,7 @@ def compute_report(member: ClassMember, convolution: bool = False) -> Functional
     ``convolution`` switches on the (grid-based, comparatively expensive)
     convolution margin; when off the field is None.
     """
-    cols = functional_columns(member.coeffs.coeffs[None, :])
+    cols = functional_columns(member.coeffs[None, :])
     return cols.report(0, convolution_margin(member) if convolution else None)
 
 
@@ -200,7 +200,7 @@ def coefficient_sum_margin(member: ClassMember) -> float:
     """
     if member.order < 2:
         raise ValueError("need at least a2")
-    return float(_sum_margin_rows(member.coeffs.coeffs[None, :])[0])
+    return float(_sum_margin_rows(member.coeffs[None, :])[0])
 
 
 def an_bound(n: int) -> float:
@@ -214,8 +214,8 @@ def an_bound(n: int) -> float:
 def _series_on_grid(member: ClassMember,
                     zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(z)/z and f'(z) on the z grid, by Horner's rule on both series."""
-    return (PowerSeries(member.coeffs.coeffs[1:]).evaluate(zs),
-            member.coeffs.derivative().evaluate(zs))
+    a = member.coeffs
+    return np.polyval(a[:0:-1], zs), np.polyval(derivative(a)[::-1], zs)
 
 
 def _row_values(pt, f_over_z: np.ndarray, df: np.ndarray, row: np.ndarray,
@@ -373,7 +373,7 @@ def sufficient_coefficient_check(member: ClassMember) -> tuple[bool, float]:
     """
     thetas = np.linspace(-math.pi, math.pi, THETA_SAMPLES, endpoint=False)
     phi_t = _phi_values(np.exp(1j * thetas))
-    a = member.coeffs.coeffs
+    a = member.coeffs
     n = np.arange(2, member.order + 1)
     sums = (np.abs(n - phi_t[:, None]) * np.abs(a[2:])).sum(axis=1)
     worst = float(sums.max()) + RE_MAX

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scan import refine_max
-from .series import PowerSeries, elementary
+from .series import elementary, integral
 
 __all__ = [
     "phi_eval",
@@ -51,12 +51,17 @@ def _phi_values(z: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def phi_series(order: int) -> PowerSeries:
+def phi_series(order: int) -> np.ndarray:
     """Maclaurin series of (1+z)/cos z: (1+z) times the reciprocal cosine.
 
-    Memoised by order; the returned series is immutable, so callers share it.
+    Memoised by order; the returned array is read-only, so callers share it.
     """
-    return (1.0 + elementary("identity", order)) * (1.0 / elementary("cos", order))
+    sec = elementary("sec", order)
+    one_plus_z = np.zeros(order + 1, dtype=np.complex128)
+    one_plus_z[:2] = 1.0
+    c = np.convolve(one_plus_z, sec)[: order + 1]
+    c.flags.writeable = False
+    return c
 
 
 def radial_real_range(r: float, samples: int = 1024, verify: bool = True) -> tuple[float, float]:
@@ -228,13 +233,14 @@ G_ORDER = 80
 
 
 @functools.lru_cache(maxsize=256)
-def g_series(order: int) -> PowerSeries:
+def g_series(order: int) -> np.ndarray:
     """Termwise-integrated series of the primitive: coefficient k is q_k/k.
 
-    Memoised by order; the returned series is immutable, so callers share it.
+    Memoised by order; the returned array is read-only, so callers share it.
     """
-    q = phi_series(order)
-    return PowerSeries(q.coeffs[1:]).integral() if order else PowerSeries([0.0])
+    c = integral(phi_series(order)[1:])
+    c.flags.writeable = False
+    return c
 
 
 def _horner(coeffs: list[complex], z: complex) -> complex:
@@ -249,7 +255,7 @@ def g_eval(z: complex) -> complex:
     z = complex(z)
     if not abs(z) <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError("g_eval is specified on the closed unit disk")
-    c = g_series(G_ORDER).coeffs.tolist()
+    c = g_series(G_ORDER).tolist()
     full = _horner(c, z)
     # The tail guard: the 16 terms below G_ORDER weigh about 1e-14 on the disk.
     if abs(full - _horner(c[:G_ORDER - 15], z)) >= 1e-10:

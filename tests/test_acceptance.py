@@ -10,7 +10,7 @@ import pytest
 
 import secstar as ss
 from secstar.report import CONFLICT, MISMATCH
-from secstar.series import PowerSeries
+from secstar.series import derivative, exp_rows, integral, log_rows
 
 TOL_EXACT = 1e-12
 
@@ -47,7 +47,7 @@ def test_criterion_01_extremal_coefficients(report_rows):
 
 
 def test_criterion_02_g_series():
-    got = ss.g_series(5).coeffs
+    got = ss.g_series(5)
     want = np.array([0, 1, 0.25, 1 / 6, 5 / 96, 1 / 24])
     ok = np.abs(got - want).max() <= TOL_EXACT
     _criterion(2, ok, "primitive series [0, 1, 1/4, 1/6, 5/96, 1/24]")
@@ -61,7 +61,7 @@ def test_criterion_03_constants(report_rows):
     bounds = ss.phi_global_bounds(8192)
     gd1 = ss.gudermannian(1.0)
     rows = {r.constant_name: r for r in report_rows}
-    g7 = ss.g_series(7).coeffs.real
+    g7 = ss.g_series(7).real
     checks = {}
     for name, z, published in (("gamma1", -1.0, -0.904233),
                                ("gamma2", 1.0, 1.53664)):
@@ -204,20 +204,21 @@ def test_criterion_09_series_engine_properties():
                        + 1j * rng.uniform(-1, 1, order + 1))
             if const is not None:
                 c[0] = const
-            return PowerSeries(c)
+            return c
+
+        def mul(a, b):
+            return np.convolve(a, b)[: order + 1]
 
         f = draw(const=1.0)
-        back = f.log().exp()
-        worst_roundtrip = max(worst_roundtrip,
-                              float(np.abs(back.coeffs - f.coeffs).max()))
+        back = exp_rows(log_rows(f[None]))[0]
+        worst_roundtrip = max(worst_roundtrip, float(np.abs(back - f).max()))
         g = draw(const=0.0)
-        gi = g.integral().derivative()
-        scale = max(float(np.abs(g.coeffs).max()), 1e-30)
-        worst_deriv = max(worst_deriv,
-                          float(np.abs(gi.coeffs - g.coeffs).max()) / scale)
+        gi = derivative(integral(g))
+        scale = max(float(np.abs(g).max()), 1e-30)
+        worst_deriv = max(worst_deriv, float(np.abs(gi - g).max()) / scale)
         a, b, c = draw(), draw(), draw()
         worst_assoc = max(worst_assoc, float(
-            np.abs(((a * b) * c).coeffs - (a * (b * c)).coeffs).max()))
+            np.abs(mul(mul(a, b), c) - mul(a, mul(b, c))).max()))
     checks = {
         "exp-log-roundtrip@1e-12": worst_roundtrip < 1e-12,
         "derivative-of-integral@2ulp": worst_deriv <= 4e-16,

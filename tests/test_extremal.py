@@ -6,18 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact import phi_fractions
 from secstar import cli
 from secstar.extremal import (ClassMember, build_extremal, distortion_envelope,
                               growth_envelope, rotation_bound)
 from secstar.generator import G_ORDER, g_series, phi_series
 from secstar.scan import refine_max
-from secstar.series import PowerSeries, lift_rows
-
-
-def shift_down(s):
-    """s / z for a series with zero constant term: the order drops by one."""
-    assert s.coeffs[0] == 0
-    return PowerSeries(s.coeffs[1:])
+from secstar.series import derivative, div_rows, lift_rows
 
 
 def recurrence_oracle(n, order):
@@ -46,7 +41,7 @@ def recurrence_oracle(n, order):
 
 def test_principal_extremal_first_coefficients():
     f = build_extremal(2, 8)
-    c = f.coeffs.coeffs.real
+    c = f.coeffs.real
     assert abs(c[2] - 1.0) < 1e-15
     assert abs(c[3] - 0.75) < 1e-15
     assert abs(c[4] - 7 / 12) < 1e-15
@@ -68,7 +63,7 @@ def test_lacunary_extremals(n, expected):
 def test_recurrence_matches_oracle(n):
     f = build_extremal(n, 16)
     oracle = recurrence_oracle(n, 16)
-    assert np.abs(f.coeffs.coeffs - np.array(oracle)).max() < 1e-13
+    assert np.abs(f.coeffs - np.array(oracle)).max() < 1e-13
 
 
 def test_recurrence_gives_the_double_nearest_five_twelfths():
@@ -78,9 +73,9 @@ def test_recurrence_gives_the_double_nearest_five_twelfths():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_recurrence_agrees_with_integral_lift(n):
-    a = build_extremal(n, 32).coeffs.coeffs
+    a = build_extremal(n, 32).coeffs
     q = np.zeros(33, dtype=np.complex128)
-    q[:: n - 1] = phi_series(32 // (n - 1)).coeffs  # phi(z^{n-1})
+    q[:: n - 1] = phi_series(32 // (n - 1))  # phi(z^{n-1})
     b = lift_rows(q[None])[0]
     assert np.abs(a - b).max() < 1e-12
 
@@ -94,9 +89,10 @@ def test_lacunarity_pattern(n):
 
 
 def test_log_derivative_reproduces_generator(extremal_16):
-    f = build_extremal(2, 17)
-    ratio = (f.coeffs.derivative() / shift_down(f.coeffs)).truncate(16)
-    assert np.abs(ratio.coeffs - phi_series(16).coeffs).max() < 1e-12
+    f = build_extremal(2, 17).coeffs
+    assert f[0] == 0
+    ratio = div_rows(derivative(f)[None], f[None, 1:])[0]  # f' / (f/z)
+    assert np.abs(ratio - phi_series(16)).max() < 1e-12
 
 
 def test_build_extremal_rejects_bad_args():
@@ -108,14 +104,14 @@ def test_build_extremal_rejects_bad_args():
 
 def test_class_member_validation():
     with pytest.raises(ValueError):
-        ClassMember(PowerSeries([0.1, 1, 0]))
+        ClassMember([0.1, 1, 0])
     with pytest.raises(ValueError):
-        ClassMember(PowerSeries([0, 0.999, 0]))
+        ClassMember([0, 0.999, 0])
     # A non-finite coefficient used to give a NaN convolution margin and a
     # (False, nan) sufficient check without any error.
     for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
-            ClassMember(PowerSeries([0, 1, 0.1, 0.2, bad, 0.0]))
+            ClassMember([0, 1, 0.1, 0.2, bad, 0.0])
 
 
 # -- envelopes ---------------------------------------------------------------
@@ -160,14 +156,14 @@ def test_envelopes_match_closed_forms(r):
     # The envelopes come from g in closed form; the reference is f2's own
     # order-128 series and its derivative, whose tails at r = 0.95 are far
     # below the tolerance (convergence radius pi/2).
-    f = build_extremal(2, 128).coeffs
-    d = f.derivative()
+    a = build_extremal(2, 128).coeffs
+    f, d = a[::-1], derivative(a)[::-1]
     lo, hi = growth_envelope(r)
-    assert abs(lo - -f.evaluate(-r).real) < 1e-9
-    assert abs(hi - f.evaluate(r).real) < 1e-9
+    assert abs(lo - -np.polyval(f, -r).real) < 1e-9
+    assert abs(hi - np.polyval(f, r).real) < 1e-9
     lo, hi = distortion_envelope(r)
-    assert abs(lo - d.evaluate(-r).real) < 1e-9
-    assert abs(hi - d.evaluate(r).real) < 1e-9
+    assert abs(lo - np.polyval(d, -r).real) < 1e-9
+    assert abs(hi - np.polyval(d, r).real) < 1e-9
 
 
 def test_envelopes_reject_radius_one():
@@ -194,10 +190,10 @@ def test_rotation_bound_equals_scalar_grid_oracle(r, samples):
     # The scan and golden section over np.polyval at every point.  The
     # golden section runs through g_eval, whose Horner rule on Python
     # complexes may round an ulp apart from np.polyval off the axes.
-    s = g_series(G_ORDER)
+    s = g_series(G_ORDER)[::-1]
 
     def obj(t):
-        return abs(s.evaluate(r * cmath.exp(1j * t)).imag)
+        return abs(complex(np.polyval(s, r * cmath.exp(1j * t))).imag)
 
     theta = np.linspace(0.0, math.pi, samples)
     assert abs(rotation_bound(r, samples) - refine_max(obj, theta)[1]) <= 1e-15
@@ -206,11 +202,11 @@ def test_rotation_bound_equals_scalar_grid_oracle(r, samples):
 @pytest.mark.parametrize("r", [0.05, 0.5, 0.9, 0.97])
 def test_rotation_bound_matches_extremal_argument(r):
     # max |arg(f2(z)/z)| from f2's own order-128 series, not from g.
-    f = build_extremal(2, 128).coeffs
+    f = build_extremal(2, 128).coeffs[::-1]
 
     def obj(t):
         z = r * cmath.exp(1j * t)
-        return abs(cmath.phase(f.evaluate(z) / z))
+        return abs(cmath.phase(complex(np.polyval(f, z)) / z))
 
     expected = refine_max(obj, np.linspace(0.0, math.pi, 2048))[1]
     assert abs(rotation_bound(r) - expected) < 1e-12
@@ -222,14 +218,9 @@ def test_rotation_bound_monotone():
 
 
 def exact_extremal(n, order):
-    """f_n's coefficients as exact rationals: sec from sec * cos = 1, phi_m =
-    sec_m + sec_{m-1}, then (k-1) a_k = sum_{j<k} q_{k-j} a_j with q =
-    phi(z^{n-1})."""
-    sec = [Fraction(1)] + [Fraction(0)] * order
-    for m in range(2, order + 1, 2):
-        sec[m] = -sum(Fraction((-1) ** (k // 2), math.factorial(k)) * sec[m - k]
-                      for k in range(2, m + 1, 2))
-    phi = [sec[0]] + [sec[m] + sec[m - 1] for m in range(1, order + 1)]
+    """f_n's coefficients as exact rationals: (k-1) a_k = sum_{j<k} q_{k-j} a_j
+    with q = phi(z^{n-1})."""
+    phi = phi_fractions(order)
     q = [Fraction(0)] * (order + 1)
     q[::n - 1] = phi[:order // (n - 1) + 1]
     a = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)

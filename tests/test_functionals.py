@@ -16,13 +16,12 @@ from secstar.functionals import (K1, MAX_RADIUS, SUPERBLOCK_ROWS, THETA_SAMPLES,
                                  convolution_margin, fs_bound,
                                  sufficient_coefficient_check)
 from secstar.generator import RE_MAX, _phi_values
-from secstar.series import PowerSeries
 
 
 def identity_member(order=8):
     c = np.zeros(order + 1)
     c[1] = 1.0
-    return ClassMember(PowerSeries(c), provenance="manual")
+    return ClassMember(c, provenance="manual")
 
 
 def test_identity_member_report():
@@ -127,7 +126,7 @@ def test_t21_unit_iff_a2_zero():
 
 def per_theta_convolution_values(member, thetas, zs):
     phi_t = _phi_values(np.exp(1j * thetas))
-    a = member.coeffs.coeffs
+    a = member.coeffs
     order = member.order
     zpow = zs[None, :] ** np.arange(1, order)[:, None] if order >= 2 else None
     out = np.empty((thetas.size, zs.size), dtype=np.complex128)
@@ -142,8 +141,8 @@ def per_theta_convolution_values(member, thetas, zs):
 
 def hand_horner(member, zs):
     """f(z)/z and f'(z) by one hand-written Horner pass over both series:
-    the reference for _series_on_grid, which evaluates PowerSeries."""
-    a = member.coeffs.coeffs
+    the reference for _series_on_grid, which runs np.polyval."""
+    a = member.coeffs
     f_over_z = np.full(zs.shape, a[-1], dtype=np.complex128)
     df = member.order * f_over_z
     for n in range(member.order - 1, 0, -1):
@@ -159,7 +158,7 @@ def scaled_member(order, scale, seed):
     c[1] = 1.0
     c[2:] = scale * np.exp(1j * rng.uniform(-math.pi, math.pi, order - 1)) * rng.uniform(
         0.0, 1.0, order - 1)
-    return ClassMember(PowerSeries(c))
+    return ClassMember(c)
 
 
 def test_series_on_grid_is_the_hand_horner_bit_for_bit():
@@ -181,7 +180,7 @@ def test_series_on_grid_is_the_hand_horner_bit_for_bit():
 def per_theta_sufficient_check(member):
     thetas = np.linspace(-math.pi, math.pi, THETA_SAMPLES, endpoint=False)
     phi_t = _phi_values(np.exp(1j * thetas))
-    a = member.coeffs.coeffs
+    a = member.coeffs
     n = np.arange(2, member.order + 1)
     worst = 0.0
     for pt in phi_t:
@@ -193,7 +192,7 @@ def per_theta_sufficient_check(member):
 def term_scale(member, thetas, zs):
     """sum_n n |a_n| |z|^{n-1} + |phi_t| sum_n |a_n| |z|^{n-1} on the grid:
     the size of the terms whose sum is the convolution expression."""
-    absa = np.abs(member.coeffs.coeffs[1:])
+    absa = np.abs(member.coeffs[1:])
     n = np.arange(1, member.order + 1)
     powers = np.abs(zs)[None, :] ** (n - 1)[:, None]
     df = (n * absa) @ powers
@@ -351,7 +350,7 @@ def test_rows_tied_across_superblocks_go_to_the_lowest(theta, gap, beyond):
                       + [theta + gap] * 2)
     phi_a, phi_b = _phi_values(np.exp(1j * thetas[:2]))
     w = phi_b + beyond * (phi_b - phi_a)
-    member = ClassMember(PowerSeries(np.array([0, 1, 2 * (w - 1) / (2 - w)])))
+    member = ClassMember(np.array([0, 1, 2 * (w - 1) / (2 - w)]))
     assert_rows_left_out_lie_above(member, thetas, np.array([0.5 + 0j]))
 
 
@@ -360,7 +359,7 @@ def test_row_search_evaluates_every_row_where_values_may_overflow(a2):
     # 8 (max|f'| + max|phi| max|f/z|) is past the float range, so no bound is
     # trusted.  At a2 = 1e308, 55 of the 360 rows hold NaNs, and the first
     # NaN in C order wins, as in numpy's argmin.
-    member = ClassMember(PowerSeries([0, 1, a2, 0, 0, 0]))
+    member = ClassMember([0, 1, a2, 0, 0, 0])
     thetas, zs = margin_grid(360, 4, 6)
     with np.errstate(all="ignore"):
         assert_same_argmin(functionals._grid_argmin(member, thetas, zs),

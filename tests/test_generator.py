@@ -1,22 +1,29 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from exact import g_fractions, phi_fractions, sec_fractions
 from secstar import cli, generator
 from secstar.generator import (G_ORDER, CircleSample, ImageRegion, g_eval, g_series,
                                phi_eval, phi_global_bounds, phi_series,
                                radial_real_range, sample_circle)
-from secstar.series import PowerSeries, elementary
+from secstar.series import derivative, div_rows, elementary
 
 TWO_SEC_ONE = 2.0 / math.cos(1.0)
 
 
 def shift_up(s):
     """z * s: the order rises by one."""
-    return PowerSeries(np.concatenate(([0.0], s.coeffs)))
+    return np.concatenate(([0.0], s))
+
+
+def div(a, b):
+    """a / b for two series of one order, by the engine's long division."""
+    return div_rows(a[None], b[None])[0]
 
 
 def test_phi_at_origin_is_one():
@@ -35,14 +42,14 @@ def test_phi_at_i():
 
 
 def test_phi_series_long_division_oracle():
-    assert np.allclose(phi_series(5).coeffs,
+    assert np.allclose(phi_series(5),
                        [1, 1, 0.5, 0.5, 5 / 24, 5 / 24], atol=1e-15)
-    assert np.array_equal(phi_series(0).coeffs, [1.0])
+    assert np.array_equal(phi_series(0), [1.0])
 
 
 def test_phi_series_cross_checks_pointwise():
     s = phi_series(40)
-    assert abs(s.evaluate(0.3) - phi_eval(0.3)) < 1e-10
+    assert abs(np.polyval(s[::-1], 0.3) - phi_eval(0.3)) < 1e-10
 
 
 def test_conjugate_symmetry():
@@ -62,13 +69,12 @@ def test_real_part_cap_identity():
 def test_log_derivative_series_identity():
     # z phi'/phi = z/(1+z) + z tan z at order 12.
     phi13 = phi_series(13)
-    lhs = shift_up(phi13.derivative()) / phi13
-    lhs = lhs.truncate(12)
-    one_plus_z = PowerSeries([1, 1] + [0] * 11)
-    term1 = elementary("identity", 12) / one_plus_z
-    tan = elementary("sin", 11) / elementary("cos", 11)
+    lhs = div(shift_up(derivative(phi13)), phi13)[:13]
+    one_plus_z = np.array([1, 1] + [0] * 11, dtype=np.complex128)
+    term1 = div(elementary("identity", 12), one_plus_z)
+    tan = div(elementary("sin", 11), elementary("cos", 11))
     term2 = shift_up(tan)
-    assert np.abs(lhs.coeffs - (term1 + term2).coeffs).max() < 1e-12
+    assert np.abs(lhs - (term1 + term2)).max() < 1e-12
 
 
 def test_radial_real_range_values():
@@ -272,11 +278,11 @@ def test_g_eval_within_two_ulp(z, part, reference):
 
 
 def two_evaluations_g(z):
-    """g_eval as two PowerSeries.evaluate calls (np.polyval), the series and
-    its truncation: the reference for g_eval's Horner rule on Python complexes."""
+    """g_eval as two np.polyval calls, on the series and its truncation: the
+    reference for g_eval's Horner rule on Python complexes."""
     s = generator.g_series(G_ORDER)
-    full = s.evaluate(complex(z))
-    if abs(full - s.truncate(G_ORDER - 16).evaluate(complex(z))) >= 1e-10:
+    full = complex(np.polyval(s[::-1], complex(z)))
+    if abs(full - complex(np.polyval(s[:G_ORDER - 15][::-1], complex(z)))) >= 1e-10:
         raise RuntimeError("series tail of g exceeds 1e-10")
     return full
 
@@ -316,13 +322,13 @@ def test_g_eval_tail_guard_decides_like_two_evaluations(scale, radius, axis):
     # The tail and the truncation's top coefficient, scaled up by 1e3-1e5,
     # put |full - truncation| on both sides of 1e-10: the guard's verdict
     # rests on the bits of both sums and on where the truncation ends.
-    c = g_series(G_ORDER).coeffs.copy()
+    c = g_series(G_ORDER).copy()
     c[G_ORDER - 16:] *= scale
     z = (radius, 1j * radius, -radius, -1j * radius)[axis]
     outcomes = []
     original = generator.g_series
     try:
-        generator.g_series = lambda order: PowerSeries(c)
+        generator.g_series = lambda order: c
         for evaluate in (g_eval, two_evaluations_g):
             try:
                 outcomes.append(repr(evaluate(z)))
@@ -334,20 +340,28 @@ def test_g_eval_tail_guard_decides_like_two_evaluations(scale, radius, axis):
 
 
 def test_g_series_first_coefficients():
-    assert np.allclose(g_series(5).coeffs,
+    assert np.allclose(g_series(5),
                        [0, 1, 0.25, 1 / 6, 5 / 96, 1 / 24], atol=1e-15)
 
 
+def termwise_sec_series(order):
+    """1/cos z by long division of [1, 0, ..., 0]."""
+    one = np.zeros(order + 1, dtype=np.complex128)
+    one[0] = 1.0
+    return div(one, elementary("cos", order))
+
+
 def termwise_phi_series(order):
-    """(1+z) built by hand, times 1/cos z: phi_series's former construction."""
-    one_plus_z = PowerSeries(np.concatenate([[1.0, 1.0], np.zeros(max(order - 1, 0))])
-                             if order >= 1 else [1.0])
-    return one_plus_z * (1.0 / elementary("cos", order))
+    """(1+z) built by hand, times 1/cos z, by np.convolve: phi_series's
+    construction when it ran on a series class."""
+    one_plus_z = np.array([1.0, 1.0] + [0.0] * (order - 1) if order >= 1 else [1.0],
+                          dtype=np.complex128)
+    return np.convolve(one_plus_z, termwise_sec_series(order))[: order + 1]
 
 
 def termwise_g_series(order):
     """Coefficient k of g is q_k/k: g_series's former hand-written integral."""
-    q = termwise_phi_series(order).coeffs
+    q = termwise_phi_series(order)
     c = np.zeros(order + 1, dtype=np.complex128)
     if order >= 1:
         c[1:] = q[1:] / np.arange(1, order + 1)
@@ -355,12 +369,34 @@ def termwise_g_series(order):
 
 
 def test_series_engine_gives_the_termwise_bits():
-    # phi_series and g_series run on PowerSeries arithmetic and integral();
-    # both keep the bits of the hand-written formulas.
+    # phi_series, g_series and the CLI's sec run on the array kernels; all
+    # three keep the bits of the constructions they replaced.
     for order in range(129):
-        assert (phi_series(order).coeffs.tobytes()
-                == termwise_phi_series(order).coeffs.tobytes()), order
-        assert g_series(order).coeffs.tobytes() == termwise_g_series(order).tobytes(), order
+        assert phi_series(order).tobytes() == termwise_phi_series(order).tobytes(), order
+        assert g_series(order).tobytes() == termwise_g_series(order).tobytes(), order
+        assert elementary("sec", order).tobytes() == termwise_sec_series(order).tobytes()
+
+
+def ulps_from_nearest(values, exact):
+    """Largest distance of the floats from the doubles nearest the exact
+    rationals, in ulps of the latter; an exact zero must come out zero."""
+    worst = 0.0
+    for v, x in zip(values, exact, strict=True):
+        assert complex(v).imag == 0 and (x != 0 or complex(v) == 0)
+        if x:
+            worst = max(worst, abs(complex(v).real - float(x)) / math.ulp(float(x)))
+    return worst
+
+
+def test_series_lie_within_measured_ulps_of_the_exact_rationals(capsys):
+    # The float series are not correctly rounded: the bounds are the
+    # measured maxima at order 64 (at n = 62 for phi), so arithmetic that
+    # loses accuracy fails here.  sec is read from the printed series.
+    assert cli.main(["coeffs", "--function", "sec", "--order", "64"]) == 0
+    sec = [complex(*c) for c in json.loads(capsys.readouterr().out)["coeffs"]]
+    assert ulps_from_nearest(sec, sec_fractions(64)) <= 6
+    assert ulps_from_nearest(phi_series(64), phi_fractions(64)) <= 6
+    assert ulps_from_nearest(g_series(64), g_fractions(64)) <= 5
 
 
 def test_series_orders_below_zero_are_refused():
@@ -372,9 +408,10 @@ def test_series_orders_below_zero_are_refused():
 def test_g_series_derivative_identity():
     # z g'(z) = phi(z) - 1 at order 12.
     g = g_series(12)
-    lhs = shift_up(g.derivative())
-    rhs = phi_series(12) - 1.0
-    assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-12
+    lhs = shift_up(derivative(g))
+    rhs = phi_series(12).copy()
+    rhs[0] -= 1.0
+    assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_g_series_matches_gauss_legendre_inside_disk():
@@ -385,7 +422,7 @@ def test_g_series_matches_gauss_legendre_inside_disk():
     for z in (0.5, -0.5, 0.3 + 0.4j):
         t = z * (x + 1) / 2
         quad = z / 2 * np.sum(w * (1 + t - np.cos(t)) / (t * np.cos(t)))
-        assert abs(s.evaluate(z) - quad) < 1e-9
+        assert abs(np.polyval(s[::-1], z) - quad) < 1e-9
 
 
 def test_g_eval_rejects_outside_disk():

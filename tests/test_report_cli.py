@@ -17,7 +17,6 @@ from secstar.caratheodory import (SchurPoint, caratheodory_from_schur,
 from secstar.functionals import hankel_h31
 from secstar.objectives import BoxPoint, h3_bound_surface
 from secstar.published import PUBLISHED
-from secstar.series import PowerSeries
 from secstar.report import CONFLICT, MATCH, MISMATCH, report_ok
 from secstar.serialize import canonical_json
 
@@ -490,7 +489,7 @@ def test_cli_optimize_h2_surface(capsys):
 def _g_series_with_large_tail(monkeypatch):
     # g_eval's tail guard, reached through the real constants handler.
     monkeypatch.setattr(generator, "g_series",
-                        lambda order: PowerSeries(np.ones(order + 1)))
+                        lambda order: np.ones(order + 1, dtype=np.complex128))
     return ["constants"], "series tail of g exceeds 1e-10"
 
 

@@ -32,17 +32,17 @@ def test_gamma_constants_differ_from_published_decimals():
 
 
 def test_published_decimals_do_equal_degree7_partial_sums():
-    s7 = g_series(7)
-    assert abs(s7.evaluate(1.0).real - 1.53664) < 1e-5
-    assert abs(s7.evaluate(-1.0).real - -0.904233) < 1e-6
-    assert abs(s7.evaluate(1j).imag - 0.862897) < 1e-6
+    s7 = g_series(7)[::-1]
+    assert abs(np.polyval(s7, 1.0).real - 1.53664) < 1e-5
+    assert abs(np.polyval(s7, -1.0).real - -0.904233) < 1e-6
+    assert abs(np.polyval(s7, 1j).imag - 0.862897) < 1e-6
 
 
 def test_gamma_series_cross_check():
     g = gamma_constants()
-    s = g_series(40)
-    assert abs(s.evaluate(-1.0).real - g["gamma1"].computed) < 1e-6
-    assert abs(s.evaluate(1.0).real - g["gamma2"].computed) < 1e-6
+    s = g_series(40)[::-1]
+    assert abs(np.polyval(s, -1.0).real - g["gamma1"].computed) < 1e-6
+    assert abs(np.polyval(s, 1.0).real - g["gamma2"].computed) < 1e-6
 
 
 def test_gudermannian_value():
