@@ -18,8 +18,9 @@ The single-measure functions are batches of one.
 Random measures are drawn per seed by :func:`sample_measure`, one numpy
 Generator each.  :func:`sample_rows` draws the same measures for a batch of
 seeds and returns them packed: it reproduces numpy's seeding, PCG64 stream,
-atom count and angles on arrays, and leaves only the exponential weights to
-numpy, so every bit is the same (``notes/decisions.md``, section 21).
+atom count and angles on arrays, leaves only the unit exponentials to numpy,
+and scales them onto the simplex on arrays in the order numpy sums them, so
+every bit is the same (``notes/decisions.md``, sections 21 and 32).
 
 Also here: the classical parametrization of an admissible coefficient prefix
 (p1, p2, p3, p4) by a point (p, gamma, eta, rho), and the Hermitian-Toeplitz
@@ -130,7 +131,7 @@ def _simplex(e: np.ndarray) -> np.ndarray:
 # that is integer arithmetic, reproduced here on arrays: uint32 for the
 # hash, and the 128-bit LCG state as (high, low) uint64 limbs.  Only the
 # exponentials stay numpy's: its ziggurat tables are not exposed, so each
-# row's weights come from one Generator set to that row's state.
+# row's exponentials come from one Generator set to that row's state.
 
 _M32 = 0xFFFFFFFF
 # SeedSequence's hash constants; its pool holds four 32-bit words.
@@ -248,56 +249,80 @@ def sample_rows(seeds: Sequence[int], max_atoms: int = MAX_ATOMS
 def _draw_rows(state, inc, max_atoms: int):
     """sample_rows from each row's PCG64 (state, inc) as uint64 limbs."""
     n = state[0].size
-    # The atom count takes one draw, except at max_atoms = 1.
-    skip = int(max_atoms > 1)
-    states, raw = [state], []
-    for _ in range(skip + max_atoms):
-        state = _step(state, inc)
-        states.append(state)
-        raw.append(_output(state))
+    start = state
     counts = np.ones(n, dtype=int)
     redraw = np.zeros(n, dtype=bool)
-    if skip:
+    if max_atoms > 1:
         # Generator.integers: Lemire's method on the low 32 bits of the
         # draw, rejecting a leftover below 2**32 mod max_atoms.
-        m = (raw[0] & _M32) * max_atoms
+        state = _step(state, inc)
+        m = (_output(state) & _M32) * max_atoms
         counts += (m >> 32).astype(int)
         redraw = (m & _M32) < (1 << 32) % max_atoms
-    cols = np.stack(raw[skip:], axis=1)
-    # Generator.uniform: low + range * next_double.
-    u = (cols >> 11) * 2.0**-53
-    present = np.arange(max_atoms) < counts[:, None]
     angles = np.zeros((n, MAX_ATOMS))
-    angles[:, :max_atoms] = np.where(present, -math.pi + 2.0 * math.pi * u, 0.0)
-    weights = np.zeros((n, MAX_ATOMS))
+    end = state
+    for k in range(max_atoms):
+        state = _step(state, inc)
+        # Generator.uniform: low + range * next_double.
+        u = (_output(state) >> 11) * 2.0**-53
+        angles[:, k] = np.where(k < counts, -math.pi + 2.0 * math.pi * u, 0.0)
+        # Each row's exponentials start from the state after its last angle.
+        last = counts == k + 1
+        end = (np.where(last, state[0], end[0]), np.where(last, state[1], end[1]))
 
-    # Each row's exponentials start from the state after its last angle.
-    rows = np.arange(n)
-    end = skip + counts
-    end_hi = np.stack([s[0] for s in states])[end, rows].tolist()
-    end_lo = np.stack([s[1] for s in states])[end, rows].tolist()
-    inc_hi, inc_lo = inc[0].tolist(), inc[1].tolist()
+    # The exponentials stay numpy's: one Generator, set to each row's state,
+    # fills the row's first count entries of a zero-padded buffer.
     rng = np.random.default_rng(0)
     bits = rng.bit_generator
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for i, (c, again) in enumerate(zip(counts.tolist(), redraw.tolist())):
-        pcg["inc"] = (inc_hi[i] << 64) | inc_lo[i]
-        if again:
-            # Rejected: numpy draws again, and so does this row, from the
-            # state its seed gave.
-            pcg["state"] = (int(states[0][0][i]) << 64) | int(states[0][1][i])
-            bits.state = full
-            w, a = _draw(rng, max_atoms)
-            c = counts[i] = w.size
-            angles[i] = 0.0
-            angles[i, :c] = a
-        else:
-            pcg["state"] = (end_hi[i] << 64) | end_lo[i]
-            bits.state = full
-            w = _simplex(rng.standard_exponential(c))
+    e = np.zeros((n, MAX_ATOMS))
+    fresh = np.flatnonzero(~redraw)
+    for i, c, hi, lo, inc_hi, inc_lo in zip(
+            fresh.tolist(), counts[fresh].tolist(), end[0][fresh].tolist(),
+            end[1][fresh].tolist(), inc[0][fresh].tolist(), inc[1][fresh].tolist()):
+        pcg["inc"] = (inc_hi << 64) | inc_lo
+        pcg["state"] = (hi << 64) | lo
+        bits.state = full
+        rng.standard_exponential(out=e[i, :c])
+    weights = np.zeros((n, MAX_ATOMS))
+    weights[fresh] = _simplex_rows(e[fresh], counts[fresh] == MAX_ATOMS)
+
+    for i in np.flatnonzero(redraw).tolist():
+        # Rejected: numpy draws again, and so does this row, from the state
+        # its seed gave.
+        pcg["inc"] = (int(inc[0][i]) << 64) | int(inc[1][i])
+        pcg["state"] = (int(start[0][i]) << 64) | int(start[1][i])
+        bits.state = full
+        w, a = _draw(rng, max_atoms)
+        c = counts[i] = w.size
         weights[i, :c] = w
+        angles[i] = 0.0
+        angles[i, :c] = a
     return counts, weights, angles, _circle_points(angles, counts)
+
+
+def _simplex_rows(e: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """_simplex of every row of zero-padded (B, MAX_ATOMS) exponentials;
+    ``full`` marks the rows with MAX_ATOMS of them.
+
+    Both sums run over every column: a padding +0 added to a positive sum
+    leaves its bits, so each is the sum of the row's real entries.
+    """
+    # functools.reduce's left-to-right sum, one column at a time.
+    total = e[:, 0].copy()
+    for k in range(1, MAX_ATOMS):
+        total += e[:, k]
+    weights = e * (1.0 / total)[:, None]
+    # ndarray.sum adds fewer than eight terms left to right, and eight as
+    # ((w0 + w1) + (w2 + w3)) + ((w4 + w5) + (w6 + w7)).
+    w = weights.T
+    total = w[0].copy()
+    for k in range(1, MAX_ATOMS - 1):
+        total += w[k]
+    pairs = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
+    weights /= np.where(full, pairs, total)[:, None]
+    return weights
 
 
 def measure_single_atom(angle: float) -> HerglotzMeasure:

@@ -173,8 +173,19 @@ class ImageRegion:
         if not ((np.diff(self._psi) > 0).all()
                 and abs(self._psi[-1] - self._psi[0] - 2 * math.pi) < 1e-6):
             raise RuntimeError("image boundary is not starlike about 1")
+        # The sector lookup's tables.  Angles from psi_0 fall into 2**16
+        # buckets of equal width, narrower than the closest two vertex
+        # angles, so each bucket holds at most one of them.  _bucket_start[b]
+        # counts the vertex angles at or below the start of bucket b - 1,
+        # and _psi_stop is psi with +inf appended.
+        self._bucket_scale = 2**16 / (2 * math.pi)
+        bucket_edges = self._psi[0] + np.arange(2**16) / self._bucket_scale
+        self._bucket_start = np.append(
+            0, np.searchsorted(self._psi, bucket_edges, side="right"))
+        self._psi_stop = np.append(self._psi, np.inf)
         # image_region() shares one instance, so no caller may change it.
-        for a in (self.boundary, self._edges, self._psi):
+        for a in (self.boundary, self._edges, self._psi, self._bucket_start,
+                  self._psi_stop):
             a.flags.writeable = False
 
     def winding_number(self, w: complex) -> int:
@@ -204,17 +215,21 @@ class ImageRegion:
         # arg(w - 1) moved into [psi_0, psi_0 + 2 pi), the range the sectors cover.
         psi0 = self._psi[0]
         psi = psi0 + np.mod(np.angle(ws - 1.0) - psi0, 2.0 * math.pi)
-        # searchsorted runs faster on sorted keys, and a key's index does
-        # not depend on the order of the others.
-        order = np.argsort(psi)
-        i = np.empty(psi.size, dtype=np.intp)
-        i[order] = np.searchsorted(self._psi, psi[order], side="right")
-        i = np.clip(i - 1, 0, self.boundary.size - 1)
+        i = np.clip(self._sector(psi) - 1, 0, self.boundary.size - 1)
         inside = (np.conj(self._edges[i]) * (ws - self.boundary[i])).imag > 0.0
         if boundary_tol > 0.0:
             for k in np.flatnonzero(~inside):
                 inside[k] = self.distance_to_boundary(complex(ws[k])) <= boundary_tol
         return inside
+
+    def _sector(self, psi: np.ndarray) -> np.ndarray:
+        """np.searchsorted(self._psi, psi, side="right") for angles psi in
+        [psi_0, psi_0 + 2 pi]: each starts one bucket low, at or below its
+        index, and steps forward past the vertex angles at or below it."""
+        i = self._bucket_start[((psi - self._psi[0]) * self._bucket_scale).astype(np.intp)]
+        while (step := self._psi_stop[i] <= psi).any():
+            i += step
+        return i
 
 
 @functools.lru_cache(maxsize=1)
@@ -243,11 +258,13 @@ def g_series(order: int) -> np.ndarray:
     return c
 
 
-def _horner(coeffs: list[complex], z: complex) -> complex:
-    y = 0j
-    for c in reversed(coeffs):
-        y = y * z + c
-    return y
+@functools.lru_cache(maxsize=1)
+def _g_terms(series) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The coefficients of series(G_ORDER) from the top: the 16 above the
+    tail guard's truncation, then the truncation's own.  Memoised by the
+    series function, so a g_series replaced at run time takes effect."""
+    c = series(G_ORDER).tolist()
+    return tuple(c[:G_ORDER - 16:-1]), tuple(c[G_ORDER - 16::-1])
 
 
 def g_eval(z: complex) -> complex:
@@ -255,9 +272,17 @@ def g_eval(z: complex) -> complex:
     z = complex(z)
     if not abs(z) <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError("g_eval is specified on the closed unit disk")
-    c = g_series(G_ORDER).tolist()
-    full = _horner(c, z)
-    # The tail guard: the 16 terms below G_ORDER weigh about 1e-14 on the disk.
-    if abs(full - _horner(c[:G_ORDER - 15], z)) >= 1e-10:
+    top, rest = _g_terms(g_series)
+    # Horner's rule for the full series and, in the same pass, for its
+    # truncation at order G_ORDER - 16.
+    full = 0j
+    for c in top:
+        full = full * z + c
+    cut = 0j
+    for c in rest:
+        full = full * z + c
+        cut = cut * z + c
+    # The tail guard: the 16 terms above the cut weigh about 1e-14 on the disk.
+    if abs(full - cut) >= 1e-10:
         raise RuntimeError("series tail of g exceeds 1e-10")
     return full

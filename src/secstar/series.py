@@ -11,7 +11,9 @@ one order and transform every row at once: a series computed alone (B = 1)
 and row i of a batch agree to the last bit.  A kernel given two series
 requires both of one width.  Mismatched truncation orders are the classic
 silent failure mode in series code, so it neither pads nor broadcasts them.
-``integral`` and ``derivative`` act along the last axis of any array.  The
+``compose_rows`` multiplies by a stack of Toeplitz matrices that it copies
+from a strided view of the zero-padded inner rows, so a batch allocates
+one stack and no gather temporaries.  ``integral`` and ``derivative`` act along the last axis of any array.  The
 truncated product of two series is ``np.convolve(a, b)[:N+1]`` and the
 value at z is ``np.polyval(c[::-1], z)``.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["elementary", "div_rows", "compose_rows", "exp_rows", "log_rows",
            "lift_rows", "integral", "derivative"]
@@ -109,17 +112,27 @@ def compose_rows(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     _require_same_width("compose", np.shape(outer)[-1], np.shape(inner)[-1])
     if (inner[:, 0] != 0).any():
         raise ValueError("compose requires inner constant term exactly 0")
-    n = outer.size
-    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
-    # C order: the matrix product then takes the same path for every B.
-    toeplitz = np.ascontiguousarray(
-        np.where(lag >= 0, inner[:, np.maximum(lag, 0)], 0.0))
+    toeplitz = _toeplitz_rows(inner)
     acc = np.zeros(inner.shape, dtype=np.complex128)
     acc[:, 0] = outer[-1]
-    for k in range(n - 2, -1, -1):
+    for k in range(outer.size - 2, -1, -1):
         acc = np.matmul(toeplitz, acc[:, :, None])[:, :, 0]
         acc[:, 0] += outer[k]
     return acc
+
+
+def _toeplitz_rows(c: np.ndarray) -> np.ndarray:
+    """(B, n, n) stack of the lower-triangular Toeplitz matrices of the rows
+    of c: entry (i, j) of matrix b is c[b, i - j], and +0 above the diagonal.
+
+    One copy of a strided view: row i of matrix b reads the row
+    [0] * (n - 1) + c[b] backwards from position n - 1 + i.  The copy is
+    in C order, so the matrix product takes the same path for every B.
+    """
+    n = c.shape[1]
+    padded = np.zeros((c.shape[0], 2 * n - 1), dtype=np.result_type(c, 0.0))
+    padded[:, n - 1:] = c
+    return np.ascontiguousarray(sliding_window_view(padded, n, axis=1)[:, :, ::-1])
 
 
 def exp_rows(f: np.ndarray) -> np.ndarray:

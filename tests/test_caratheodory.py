@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secstar import caratheodory
 from secstar.caratheodory import (MAX_ATOMS, HerglotzMeasure, SchurPoint,
-                                  _draw_rows, caratheodory_from_schur,
+                                  _draw_rows, _pcg64_seeded, _seed_pools, _simplex,
+                                  _simplex_rows, caratheodory_from_schur,
                                   log_derivative_rows, measure_equal_atoms,
                                   measure_single_atom, member_from_measure,
                                   p_eval_from_measure, p_rows, pack_measures,
@@ -226,6 +228,59 @@ def test_sample_rows_redraws_lemire_rejections():
             assert repr(weights[i, :count].tolist()) == repr(want.tolist())
             assert repr(angles[i, :count].tolist()) == repr(want_angles.tolist())
             assert not weights[i, count:].any() and not angles[i, count:].any()
+
+
+def zero_next_state(inc):
+    """A PCG64 state whose next output is 0, which Generator.integers
+    rejects for max_atoms 3, 5, 6 and 7 (see the test above)."""
+    after = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF  # high ^ low = 0
+    return (after - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+
+
+def draw_at(state, inc, max_atoms):
+    """sample_measure's draw from a Generator at a given PCG64 state."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return tuple(zip(*(a.tolist() for a in caratheodory._draw(rng, max_atoms))))
+
+
+def test_sample_rows_batch_of_every_count_and_a_rejection():
+    # One batch: 64 seeds, which draw every atom count, and last a state
+    # whose count draw is rejected at max_atoms 7.  (max_atoms 8 never
+    # rejects, since 2**32 mod 8 = 0.)  Each row is the per-seed draw.
+    seeds = list(range(64))
+    state, inc = _pcg64_seeded(_seed_pools(seeds))
+    inc_int = (int(inc[0][0]) << 64) | int(inc[1][0])
+    rejected = zero_next_state(inc_int)
+    state = tuple(np.append(part, limb) for part, limb in zip(state, limbs([rejected])))
+    inc = tuple(np.append(part, part[0]) for part in inc)
+    for max_atoms in (7, MAX_ATOMS):
+        counts, weights, angles, _ = _draw_rows(state, inc, max_atoms)
+        assert set(counts[:-1].tolist()) == set(range(1, max_atoms + 1))
+        measures = [sample_measure(seed, max_atoms).atoms for seed in seeds]
+        measures.append(draw_at(rejected, inc_int, max_atoms))
+        for i, atoms in enumerate(measures):
+            c = counts[i]
+            assert c == len(atoms)
+            assert (repr(tuple(zip(weights[i, :c].tolist(), angles[i, :c].tolist())))
+                    == repr(atoms)), (max_atoms, i)
+            assert not weights[i, c:].any() and not angles[i, c:].any()
+
+
+def test_simplex_rows_is_simplex_row_by_row():
+    # ndarray.sum adds eight terms pairwise and fewer left to right: 3 000
+    # draws of each count, of several scales, against the per-row _simplex.
+    rng = np.random.default_rng(16)
+    for count in range(1, MAX_ATOMS + 1):
+        e = np.zeros((3000, MAX_ATOMS))
+        e[:, :count] = rng.standard_exponential((3000, count))
+        e *= 10.0 ** rng.integers(-3, 4, 3000)[:, None]
+        got = _simplex_rows(e, np.full(3000, count == MAX_ATOMS))
+        want = np.zeros_like(e)
+        want[:, :count] = [_simplex(row[:count]) for row in e]
+        assert got.tobytes() == want.tobytes(), count
 
 
 @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 1.0, np.True_, "3"])

@@ -137,7 +137,8 @@ def test_region_contains_function():
 def test_default_region_is_built_once_and_read_only():
     region = generator.image_region()
     assert generator.image_region() is region
-    for a in (region.boundary, region._edges, region._psi):
+    for a in (region.boundary, region._edges, region._psi, region._bucket_start,
+              region._psi_stop):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -212,6 +213,23 @@ def test_sorted_sector_lookup_matches_plain_lookup(image_region):
     for pts, tol in cases:
         assert (image_region.contains_batch(pts, boundary_tol=tol).tobytes()
                 == plain_lookup_contains(image_region, pts, tol).tobytes())
+
+
+def test_bucket_sector_lookup_is_searchsorted(image_region, monkeypatch):
+    # Every vertex angle, one ulp either side of each, the top of the range
+    # and random angles; also for a polygon that starts at theta = 2 - pi.
+    regions = [image_region]
+    monkeypatch.setattr(generator, "_phi_values",
+                        lambda z: (1 + z * cmath.exp(2j)) / np.cos(z * cmath.exp(2j)))
+    regions.append(ImageRegion())
+    rng = np.random.default_rng(15)
+    for region in regions:
+        psi = region._psi
+        top = np.nextafter(psi[0] + 2 * math.pi, -np.inf)
+        keys = np.concatenate([psi, np.nextafter(psi, -np.inf), np.nextafter(psi, np.inf),
+                               [top], psi[0] + rng.uniform(0.0, 2 * math.pi, 100_000)])
+        assert (region._sector(keys).tolist()
+                == np.searchsorted(psi, keys, side="right").tolist())
 
 
 def test_non_finite_points_are_outside(image_region):
@@ -337,6 +355,16 @@ def test_g_eval_tail_guard_decides_like_two_evaluations(scale, radius, axis):
     finally:
         generator.g_series = original
     assert outcomes[0] == outcomes[1]
+
+
+def test_g_eval_follows_a_replaced_g_series_and_its_return(monkeypatch):
+    z = 0.3 + 0.4j
+    before = g_eval(z)
+    doubled = 2 * g_series(G_ORDER)
+    monkeypatch.setattr(generator, "g_series", lambda order: doubled)
+    assert abs(g_eval(z) - 2 * before) <= 1e-15
+    monkeypatch.undo()
+    assert repr(g_eval(z)) == repr(before)
 
 
 def test_g_series_first_coefficients():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from secstar.extremal import ClassMember, build_extremal
 from secstar.generator import g_series, phi_series
-from secstar.series import (compose_rows, derivative, div_rows, elementary, exp_rows,
-                            integral, lift_rows, log_rows)
+from secstar.series import (_toeplitz_rows, compose_rows, derivative, div_rows, elementary,
+                            exp_rows, integral, lift_rows, log_rows)
 
 
 def random_series(rng, order, const=None, scale=0.5):
@@ -104,6 +105,59 @@ def test_compose_identity_inner_is_exact():
 def test_compose_rejects_nonzero_inner_constant():
     with pytest.raises(ValueError):
         compose_rows(np.array([1.0, 1.0]), np.array([[0.5, 1.0]]))
+
+
+def gathered_toeplitz_rows(inner):
+    """The Toeplitz stack as compose_rows built it before the strided copy:
+    the reference for its bits."""
+    n = inner.shape[1]
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
+    return np.ascontiguousarray(np.where(lag >= 0, inner[:, np.maximum(lag, 0)], 0.0))
+
+
+def gathered_compose_rows(outer, inner):
+    toeplitz = gathered_toeplitz_rows(inner)
+    acc = np.zeros(inner.shape, dtype=np.complex128)
+    acc[:, 0] = outer[-1]
+    for k in range(outer.size - 2, -1, -1):
+        acc = np.matmul(toeplitz, acc[:, :, None])[:, :, 0]
+        acc[:, 0] += outer[k]
+    return acc
+
+
+@pytest.mark.parametrize("rows", [1, 5, 128])
+def test_toeplitz_stack_is_the_gathered_one_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    for width in range(1, 34):
+        inner = random_series(rng, rows * width - 1).reshape(rows, width)
+        # Zeros of both signs, the constant term's among them, must keep
+        # their sign bits; above the diagonal both stacks hold +0.
+        inner[:, 0] = complex(-0.0, -0.0)
+        inner[rng.uniform(size=inner.shape) < 0.2] = complex(-0.0, 0.0)
+        inner[rng.uniform(size=inner.shape) < 0.2] = 0.0
+        outer = random_series(rng, width - 1)
+        got, want = _toeplitz_rows(inner), gathered_toeplitz_rows(inner)
+        assert got.flags.c_contiguous and got.shape == want.shape == (rows, width, width)
+        assert got.tobytes() == want.tobytes(), width
+        assert (compose_rows(outer, inner).tobytes()
+                == gathered_compose_rows(outer, inner).tobytes()), width
+
+
+def test_compose_rows_holds_little_more_than_one_stack():
+    # The gathered stack peaked near two stacks: an index gather, np.where's
+    # result and the C-order copy.  One stack of 128 x 17 x 17 is 578 KiB.
+    rng = np.random.default_rng(8)
+    inner = random_series(rng, 128 * 17 - 1).reshape(128, 17)
+    inner[:, 0] = 0.0
+    outer = random_series(rng, 16)
+    compose_rows(outer, inner)
+    tracemalloc.start()
+    try:
+        compose_rows(outer, inner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * inner.shape[0] * 17 * 17 * 16
 
 
 def test_compose_square_substitution():
