@@ -16,11 +16,13 @@ them and evaluate each member over its real atoms only, with the same bits.
 The single-measure functions are batches of one.
 
 Random measures are drawn per seed by :func:`sample_measure`, one numpy
-Generator each.  :func:`sample_rows` draws the same measures for a batch of
-seeds and returns them packed: it reproduces numpy's seeding, PCG64 stream,
-atom count and angles on arrays, leaves only the unit exponentials to numpy,
-and scales them onto the simplex on arrays in the order numpy sums them, so
-every bit is the same (``notes/decisions.md``, sections 21 and 32).
+Generator each, whose own ``rng.dirichlet`` draws the weights.
+:func:`sample_rows` draws the same measures for a batch of seeds and returns
+them packed: it reproduces numpy's seeding, PCG64 stream, atom count (with
+Lemire's retries) and angles on arrays, leaves only the unit exponentials to
+numpy, and scales them onto the simplex on arrays in the order numpy sums
+them, so every bit is the same (``notes/decisions.md``, sections 21, 32
+and 33).
 
 Also here: the classical parametrization of an admissible coefficient prefix
 (p1, p2, p3, p4) by a point (p, gamma, eta, rho), and the Hermitian-Toeplitz
@@ -29,9 +31,7 @@ positivity oracle that certifies such prefixes.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,44 +92,30 @@ class HerglotzMeasure:
 
 def sample_measure(rng_seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure:
     """Seed-deterministic random measure: uniform atom count, uniform angles,
-    flat simplex weights.
+    flat simplex weights, each drawn by ``np.random.default_rng(rng_seed)``.
 
-    The weights are Dirichlet(1, ..., 1), drawn as unit exponentials scaled
-    by the reciprocal of their sum.  That is how ``rng.dirichlet`` draws
-    them for alpha = 1, summing in order, so the draws are the same bits
-    as ``rng.dirichlet(np.ones(count))`` without its argument checks.
     :func:`sample_rows` draws the same measures for a batch of seeds.
     """
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
-    weights, angles = _draw(np.random.default_rng(rng_seed), max_atoms)
-    return HerglotzMeasure(atoms=tuple(zip(weights.tolist(), angles.tolist())),
-                           seed=rng_seed)
-
-
-def _draw(rng: np.random.Generator, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and angles of one measure: the per-seed stream."""
+    rng = np.random.default_rng(rng_seed)
     count = int(rng.integers(1, max_atoms + 1))
     angles = rng.uniform(-math.pi, math.pi, count)
-    return _simplex(rng.standard_exponential(count)), angles
-
-
-def _simplex(e: np.ndarray) -> np.ndarray:
-    """Unit exponentials scaled onto the simplex, as rng.dirichlet scales them."""
-    # A left-to-right sum on every Python: the built-in sum() compensates
-    # its float sums from Python 3.12 on.
-    weights = e * (1.0 / functools.reduce(operator.add, e.tolist()))
+    weights = rng.dirichlet(np.ones(count))
     # Dirichlet can produce a weight a few ulp away from summing to 1.
-    return weights / weights.sum()
+    weights = weights / weights.sum()
+    return HerglotzMeasure(atoms=tuple(zip(weights.tolist(), angles.tolist())),
+                           seed=rng_seed)
 
 
 # -- the same draws for a batch of seeds, on arrays -------------------------
 #
 # numpy's default_rng(seed) hashes the seed's 32-bit words with SeedSequence,
 # seeds PCG64 from the hash, and sample_measure then takes one 64-bit output
-# for the atom count (none when max_atoms = 1) and one per angle.  All of
-# that is integer arithmetic, reproduced here on arrays: uint32 for the
-# hash, and the 128-bit LCG state as (high, low) uint64 limbs.  Only the
+# for the atom count (none when max_atoms = 1, more only when Lemire's
+# method rejects both of its 32-bit halves) and one per angle.  All of that
+# is integer arithmetic, reproduced here on arrays: uint32 for the hash, and
+# the 128-bit LCG state as (high, low) uint64 limbs.  Only the
 # exponentials stay numpy's: its ziggurat tables are not exposed, so each
 # row's exponentials come from one Generator set to that row's state.
 
@@ -249,16 +235,25 @@ def sample_rows(seeds: Sequence[int], max_atoms: int = MAX_ATOMS
 def _draw_rows(state, inc, max_atoms: int):
     """sample_rows from each row's PCG64 (state, inc) as uint64 limbs."""
     n = state[0].size
-    start = state
     counts = np.ones(n, dtype=int)
-    redraw = np.zeros(n, dtype=bool)
     if max_atoms > 1:
-        # Generator.integers: Lemire's method on the low 32 bits of the
-        # draw, rejecting a leftover below 2**32 mod max_atoms.
+        # Generator.integers: Lemire's method on 32-bit draws, rejecting a
+        # leftover below 2**32 mod max_atoms (0 for 2, 4 and 8).  The draws
+        # are the low half of a 64-bit output, then its high half, then the
+        # next output's low half, and so on.
+        threshold = (1 << 32) % max_atoms
         state = _step(state, inc)
-        m = (_output(state) & _M32) * max_atoms
+        out = _output(state)
+        high = np.zeros(n, dtype=bool)
+        m = (out & _M32) * max_atoms
+        while (again := (m & _M32) < threshold).any():
+            step = again & high
+            nxt = _step(state, inc)
+            state = (np.where(step, nxt[0], state[0]), np.where(step, nxt[1], state[1]))
+            out = np.where(step, _output(state), out)
+            high ^= again
+            m = np.where(again, np.where(high, out >> 32, out & _M32) * max_atoms, m)
         counts += (m >> 32).astype(int)
-        redraw = (m & _M32) < (1 << 32) % max_atoms
     angles = np.zeros((n, MAX_ATOMS))
     end = state
     for k in range(max_atoms):
@@ -277,39 +272,29 @@ def _draw_rows(state, inc, max_atoms: int):
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     e = np.zeros((n, MAX_ATOMS))
-    fresh = np.flatnonzero(~redraw)
-    for i, c, hi, lo, inc_hi, inc_lo in zip(
-            fresh.tolist(), counts[fresh].tolist(), end[0][fresh].tolist(),
-            end[1][fresh].tolist(), inc[0][fresh].tolist(), inc[1][fresh].tolist()):
+    for i, (c, hi, lo, inc_hi, inc_lo) in enumerate(zip(
+            counts.tolist(), end[0].tolist(), end[1].tolist(),
+            inc[0].tolist(), inc[1].tolist())):
         pcg["inc"] = (inc_hi << 64) | inc_lo
         pcg["state"] = (hi << 64) | lo
         bits.state = full
         rng.standard_exponential(out=e[i, :c])
-    weights = np.zeros((n, MAX_ATOMS))
-    weights[fresh] = _simplex_rows(e[fresh], counts[fresh] == MAX_ATOMS)
-
-    for i in np.flatnonzero(redraw).tolist():
-        # Rejected: numpy draws again, and so does this row, from the state
-        # its seed gave.
-        pcg["inc"] = (int(inc[0][i]) << 64) | int(inc[1][i])
-        pcg["state"] = (int(start[0][i]) << 64) | int(start[1][i])
-        bits.state = full
-        w, a = _draw(rng, max_atoms)
-        c = counts[i] = w.size
-        weights[i, :c] = w
-        angles[i] = 0.0
-        angles[i, :c] = a
+    weights = _simplex_rows(e, counts == MAX_ATOMS)
     return counts, weights, angles, _circle_points(angles, counts)
 
 
 def _simplex_rows(e: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """_simplex of every row of zero-padded (B, MAX_ATOMS) exponentials;
-    ``full`` marks the rows with MAX_ATOMS of them.
+    """Zero-padded (B, MAX_ATOMS) unit exponentials scaled onto the simplex
+    as ``sample_measure`` scales them; ``full`` marks the rows with MAX_ATOMS
+    of them.
 
-    Both sums run over every column: a padding +0 added to a positive sum
-    leaves its bits, so each is the sum of the row's real entries.
+    ``rng.dirichlet`` multiplies the exponentials by the reciprocal of their
+    left-to-right sum, and ``sample_measure`` divides the result by its
+    ``sum()``.  Both sums run over every column: a padding +0 added to a
+    positive sum leaves its bits, so each is the sum of the row's real
+    entries.
     """
-    # functools.reduce's left-to-right sum, one column at a time.
+    # rng.dirichlet's running sum, one column at a time.
     total = e[:, 0].copy()
     for k in range(1, MAX_ATOMS):
         total += e[:, k]

@@ -95,6 +95,16 @@ def _samples(args, what: str, least: int) -> int:
     return samples
 
 
+def _max_atoms(args) -> int:
+    """--max-atoms, caratheodory.MAX_ATOMS when omitted."""
+    from . import caratheodory
+    bound = caratheodory.MAX_ATOMS
+    max_atoms = bound if args.max_atoms is None else args.max_atoms
+    if not 1 <= max_atoms <= bound:
+        raise ValueError(f"--max-atoms must lie in [1, {bound}]")
+    return max_atoms
+
+
 def _member_from_args(args, least_order: int):
     if args.n is not None and (args.seed is not None or args.max_atoms is not None):
         raise ValueError("--n takes no --seed or --max-atoms")
@@ -104,8 +114,7 @@ def _member_from_args(args, least_order: int):
         return extremal.build_extremal(args.n, args.order)
     from . import caratheodory
     m = caratheodory.sample_measure(
-        DEFAULT_SEED if args.seed is None else args.seed,
-        caratheodory.MAX_ATOMS if args.max_atoms is None else args.max_atoms)
+        DEFAULT_SEED if args.seed is None else args.seed, _max_atoms(args))
     return caratheodory.member_from_measure(m, args.order)
 
 
@@ -177,9 +186,8 @@ def _cmd_sample(args) -> int:
         raise ValueError("--count must be at least 1")
     _at_most("--count", args.count, MAX_COUNT)
     _require_order(args, 2)  # the CSV rows carry a2
-    max_atoms = caratheodory.MAX_ATOMS if args.max_atoms is None else args.max_atoms
     seeds = [args.seed + i for i in range(args.count)]
-    counts, weights, angles, x = caratheodory.sample_rows(seeds, max_atoms)
+    counts, weights, angles, x = caratheodory.sample_rows(seeds, _max_atoms(args))
     out = []
     for start in range(0, args.count, caratheodory.BLOCK):
         rows = slice(start, start + caratheodory.BLOCK)

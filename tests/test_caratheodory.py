@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secstar import caratheodory
 from secstar.caratheodory import (MAX_ATOMS, HerglotzMeasure, SchurPoint,
-                                  _draw_rows, _pcg64_seeded, _seed_pools, _simplex,
+                                  _draw_rows, _pcg64_seeded, _seed_pools,
                                   _simplex_rows, caratheodory_from_schur,
                                   log_derivative_rows, measure_equal_atoms,
                                   measure_single_atom, member_from_measure,
@@ -116,8 +115,8 @@ def test_sample_measure_forced_single_atom():
 
 
 def dirichlet_measure(rng_seed, max_atoms=8):
-    """sample_measure with its weights from rng.dirichlet: the reference for
-    the scaled exponential draw."""
+    """numpy's own draw from default_rng(rng_seed), written out: the
+    reference sample_measure must equal."""
     rng = np.random.default_rng(rng_seed)
     count = int(rng.integers(1, max_atoms + 1))
     angles = rng.uniform(-math.pi, math.pi, count)
@@ -152,6 +151,8 @@ def test_sample_measure_invariants(seed):
 
 
 def assert_rows_are_the_measures(seeds, max_atoms):
+    # sample_measure is numpy's own draw, rng.dirichlet included, so this
+    # checks the array walk and _simplex_rows against numpy itself.
     counts, weights, angles, x = sample_rows(seeds, max_atoms)
     measures = [sample_measure(s, max_atoms) for s in seeds]
     want_weights, want_x = pack_measures(measures)
@@ -230,11 +231,24 @@ def test_sample_rows_redraws_lemire_rejections():
             assert not weights[i, count:].any() and not angles[i, count:].any()
 
 
+def state_before_output(output, inc):
+    """A PCG64 state whose next 64-bit output is ``output``."""
+    high = 0x0123456789ABCDEF  # its top six bits, the rotation, are 0
+    after = (high << 64) | (high ^ output)
+    return (after - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+
+
 def zero_next_state(inc):
     """A PCG64 state whose next output is 0, which Generator.integers
     rejects for max_atoms 3, 5, 6 and 7 (see the test above)."""
-    after = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF  # high ^ low = 0
-    return (after - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+    return state_before_output(0, inc)
+
+
+def simplex(e):
+    """Unit exponentials scaled onto the simplex as rng.dirichlet scales
+    them, then renormalised as sample_measure does."""
+    w = e * (1.0 / functools.reduce(operator.add, e.tolist()))
+    return w / w.sum()
 
 
 def draw_at(state, inc, max_atoms):
@@ -243,7 +257,10 @@ def draw_at(state, inc, max_atoms):
     rng.bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-    return tuple(zip(*(a.tolist() for a in caratheodory._draw(rng, max_atoms))))
+    count = int(rng.integers(1, max_atoms + 1))
+    angles = rng.uniform(-math.pi, math.pi, count)
+    weights = simplex(rng.standard_exponential(count))
+    return tuple(zip(weights.tolist(), angles.tolist()))
 
 
 def test_sample_rows_batch_of_every_count_and_a_rejection():
@@ -271,7 +288,7 @@ def test_sample_rows_batch_of_every_count_and_a_rejection():
 
 def test_simplex_rows_is_simplex_row_by_row():
     # ndarray.sum adds eight terms pairwise and fewer left to right: 3 000
-    # draws of each count, of several scales, against the per-row _simplex.
+    # draws of each count, of several scales, against the per-row simplex.
     rng = np.random.default_rng(16)
     for count in range(1, MAX_ATOMS + 1):
         e = np.zeros((3000, MAX_ATOMS))
@@ -279,8 +296,38 @@ def test_simplex_rows_is_simplex_row_by_row():
         e *= 10.0 ** rng.integers(-3, 4, 3000)[:, None]
         got = _simplex_rows(e, np.full(3000, count == MAX_ATOMS))
         want = np.zeros_like(e)
-        want[:, :count] = [_simplex(row[:count]) for row in e]
+        want[:, :count] = [simplex(row[:count]) for row in e]
         assert got.tobytes() == want.tobytes(), count
+
+
+def test_sample_rows_retries_lemire_rejections_on_the_arrays():
+    # The count draw takes the low half of a 64-bit output, then its high
+    # half, then the next output.  Crafted next outputs: a low half of 0,
+    # rejected at max_atoms 3, 5, 6 and 7, with a high half that is then
+    # accepted at all four (2**32 - 1, 1), rejected at 6 only (2**31), or
+    # rejected at all four (0).  They sit among seeded rows, with two incs.
+    state, inc = _pcg64_seeded(_seed_pools(list(range(40))))
+    rows = [((int(hi) << 64) | int(lo), (int(inc_hi) << 64) | int(inc_lo))
+            for hi, lo, inc_hi, inc_lo in zip(*state, *inc)]
+    incs = [rows[0][1], np.random.PCG64(0).state["state"]["inc"]]
+    crafted = [(state_before_output(high << 32, c), c)
+               for c in incs for high in (0xFFFFFFFF, 1, 0x80000000, 0)]
+    rows[3:3] = crafted[:4]
+    rows[20:20] = crafted[4:]
+    starts, row_incs = zip(*rows)
+    for max_atoms in range(1, MAX_ATOMS + 1):
+        counts, weights, angles, _ = _draw_rows(limbs(starts), limbs(row_incs),
+                                                max_atoms)
+        for i, (start, row_inc) in enumerate(rows):
+            atoms = draw_at(start, row_inc, max_atoms)
+            c = counts[i]
+            assert c == len(atoms), (max_atoms, i)
+            assert (repr(tuple(zip(weights[i, :c].tolist(), angles[i, :c].tolist())))
+                    == repr(atoms)), (max_atoms, i)
+            assert not weights[i, c:].any() and not angles[i, c:].any()
+        if max_atoms == 7:
+            # An accepted high half u gives 1 + (7 u >> 32) atoms.
+            assert counts[[3, 4, 5, 20, 21, 22]].tolist() == [7, 1, 4] * 2
 
 
 @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 1.0, np.True_, "3"])

@@ -241,6 +241,22 @@ def test_cli_samples_floor_names_the_flag(argv, what, floor):
     assert (code, err) == (0, "") and out
 
 
+# --max-atoms outside [1, MAX_ATOMS] is a usage error that names the flag,
+# whichever subcommand draws the member; both ends of the range are accepted.
+@pytest.mark.parametrize("argv", [
+    ["sample", "--max-atoms", "0"],
+    ["sample", "--csv", "--max-atoms", "9"],
+    ["functionals", "--seed", "3", "--max-atoms", "0"],
+    ["convolution-check", "--max-atoms", "-1"],
+])
+def test_cli_max_atoms_range_names_the_flag(argv):
+    from secstar.caratheodory import MAX_ATOMS
+    assert run(argv) == (2, "", f"error: --max-atoms must lie in [1, {MAX_ATOMS}]\n")
+    for bound in (1, MAX_ATOMS):
+        code, out, err = run(argv[:-1] + [str(bound)])
+        assert (code, err) == (0, "") and out
+
+
 def test_cli_phi_takes_a_negative_point_after_an_equals_sign():
     from secstar.generator import phi_eval
     code, out, err = run(["phi", "--z=-0.3-0.7j"])
