@@ -15,14 +15,11 @@ rows carry the padding atoms, whose terms are zero; the exact kernels skip
 them and evaluate each member over its real atoms only, with the same bits.
 The single-measure functions are batches of one.
 
-Random measures are drawn per seed by :func:`sample_measure`, one numpy
-Generator each, whose own ``rng.dirichlet`` draws the weights.
-:func:`sample_rows` draws the same measures for a batch of seeds and returns
-them packed: it reproduces numpy's seeding, PCG64 stream, atom count (with
-Lemire's retries) and angles on arrays, leaves only the unit exponentials to
-numpy, and scales them onto the simplex on arrays in the order numpy sums
-them, so every bit is the same (``notes/decisions.md``, sections 21, 32
-and 33).
+Random measures are drawn two ways.  :func:`sample_measure` draws one per
+seed, from its own numpy Generator, whose ``rng.dirichlet`` draws the
+weights.  :func:`sample_rows` draws the random search's members from one
+stream ``default_rng(seed)``, DRAWS doubles a member, on arrays; any range of
+members can be drawn alone (``notes/decisions.md``, section 34).
 
 Also here: the classical parametrization of an admissible coefficient prefix
 (p1, p2, p3, p4) by a point (p, gamma, eta, rho), and the Hermitian-Toeplitz
@@ -93,8 +90,6 @@ class HerglotzMeasure:
 def sample_measure(rng_seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure:
     """Seed-deterministic random measure: uniform atom count, uniform angles,
     flat simplex weights, each drawn by ``np.random.default_rng(rng_seed)``.
-
-    :func:`sample_rows` draws the same measures for a batch of seeds.
     """
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
@@ -108,108 +103,9 @@ def sample_measure(rng_seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure
                            seed=rng_seed)
 
 
-# -- the same draws for a batch of seeds, on arrays -------------------------
-#
-# numpy's default_rng(seed) hashes the seed's 32-bit words with SeedSequence,
-# seeds PCG64 from the hash, and sample_measure then takes one 64-bit output
-# for the atom count (none when max_atoms = 1, more only when Lemire's
-# method rejects both of its 32-bit halves) and one per angle.  All of that
-# is integer arithmetic, reproduced here on arrays: uint32 for the hash, and
-# the 128-bit LCG state as (high, low) uint64 limbs.  Only the
-# exponentials stay numpy's: its ziggurat tables are not exposed, so each
-# row's exponentials come from one Generator set to that row's state.
-
-_M32 = 0xFFFFFFFF
-# SeedSequence's hash constants; its pool holds four 32-bit words.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier as (high, low) limbs.
-_PCG_MULT = (2549297995355413924, 4865540595714422341)
-
-
-def _seed_pools(seeds: Sequence) -> list[np.ndarray]:
-    """SeedSequence(seed).pool of every seed, as four (B,) uint32 words.
-
-    A seed that is not an int in [0, 2**128) is hashed by numpy's own
-    SeedSequence, which also raises numpy's error for a bad seed.
-    """
-    small = np.array([type(s) is int and 0 <= s < 1 << 128 for s in seeds],
-                     dtype=bool)
-    pool = np.empty((4, small.size), dtype=np.uint32)
-    rest = np.flatnonzero(~small)
-    if rest.size:
-        pool[:, rest] = np.array(
-            [np.random.SeedSequence(seeds[i]).pool for i in rest.tolist()]).T
-    rows = np.flatnonzero(small)
-    a = np.array([seeds[i] for i in rows.tolist()], dtype=object)
-    # A seed's words, low first; the words past its highest nonzero one are
-    # zero, which SeedSequence hashes as it hashes the pool's empty slots.
-    words = [((a >> 32 * k) & _M32).astype(np.uint32) for k in range(4)]
-    h = _INIT_A
-
-    def hashmix(v):
-        nonlocal h
-        v = v ^ h
-        h = h * _MULT_A & _M32
-        v = v * h
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ (r >> 16)
-
-    mixer = [hashmix(w) for w in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixer[dst] = mix(mixer[dst], hashmix(mixer[src]))
-    pool[:, rows] = mixer
-    return list(pool)
-
-
-def _mul128(hi, lo, m_hi: int, m_lo: int):
-    """(hi, lo) * (m_hi, m_lo) mod 2**128."""
-    a0, a1 = lo & _M32, lo >> 32
-    b0, b1 = m_lo & _M32, m_lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return carry + lo * m_hi + hi * m_lo, lo * m_lo
-
-
-def _add128(a, b):
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]), lo
-
-
-def _step(state, inc):
-    """One step of PCG64's LCG: state * multiplier + inc."""
-    return _add128(_mul128(*state, *_PCG_MULT), inc)
-
-
-def _output(state) -> np.ndarray:
-    """PCG64's XSL-RR output of a state: the 64-bit draw it yields."""
-    hi, lo = state
-    x = hi ^ lo
-    rot = hi >> 58
-    return (x >> rot) | (x << ((64 - rot) & 63))
-
-
-def _pcg64_seeded(pool: list[np.ndarray]):
-    """PCG64's (state, inc) after seeding from SeedSequence pools."""
-    h = _INIT_B
-    words = []
-    for i in range(8):
-        v = pool[i % 4] ^ h
-        h = h * _MULT_B & _M32
-        v = v * h
-        words.append((v ^ (v >> 16)).astype(np.uint64))
-    # generate_state(4, np.uint64): pairs of words, low word first.
-    val = [words[2 * k] | (words[2 * k + 1] << 32) for k in range(4)]
-    inc = ((val[2] << 1) | (val[3] >> 63), (val[3] << 1) | 1)
-    state = _add128(inc, (val[0], val[1]))
-    return _step(state, inc), inc
+#: Doubles of the search stream per member: its atom count, then MAX_ATOMS
+#: angles, then MAX_ATOMS weights.
+DRAWS = 1 + 2 * MAX_ATOMS
 
 
 def _circle_points(angles: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -218,96 +114,25 @@ def _circle_points(angles: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.where(present, np.exp(-1j * angles), 0.0)
 
 
-def sample_rows(seeds: Sequence[int], max_atoms: int = MAX_ATOMS
+def sample_rows(seed: int, start: int, stop: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The measures ``sample_measure(seed, max_atoms)`` draws, for a batch of
-    seeds: atom counts (B,), and weights, angles and atoms x = e^{-i theta}
-    as (B, MAX_ATOMS) arrays padded with zeros.
+    """Search members ``start .. stop-1`` of the stream ``default_rng(seed)``:
+    atom counts (B,), and weights, angles and atoms x = e^{-i theta} as
+    (B, MAX_ATOMS) arrays padded with zeros.
 
-    The bits are those of ``pack_measures`` on the sampled measures.  A
-    bad seed raises the error ``np.random.default_rng`` raises for it.
+    Member i reads the i-th run of DRAWS doubles u: 1 + floor(u_0 MAX_ATOMS)
+    atoms, angles -pi + 2 pi u, and flat Dirichlet weights, unit
+    exponentials -log1p(-u) over their sum.  A member's bits do not depend
+    on the range it is drawn in.  A bad seed raises numpy's error for it.
     """
-    if not 1 <= max_atoms <= MAX_ATOMS:
-        raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
-    return _draw_rows(*_pcg64_seeded(_seed_pools(seeds)), max_atoms)
-
-
-def _draw_rows(state, inc, max_atoms: int):
-    """sample_rows from each row's PCG64 (state, inc) as uint64 limbs."""
-    n = state[0].size
-    counts = np.ones(n, dtype=int)
-    if max_atoms > 1:
-        # Generator.integers: Lemire's method on 32-bit draws, rejecting a
-        # leftover below 2**32 mod max_atoms (0 for 2, 4 and 8).  The draws
-        # are the low half of a 64-bit output, then its high half, then the
-        # next output's low half, and so on.
-        threshold = (1 << 32) % max_atoms
-        state = _step(state, inc)
-        out = _output(state)
-        high = np.zeros(n, dtype=bool)
-        m = (out & _M32) * max_atoms
-        while (again := (m & _M32) < threshold).any():
-            step = again & high
-            nxt = _step(state, inc)
-            state = (np.where(step, nxt[0], state[0]), np.where(step, nxt[1], state[1]))
-            out = np.where(step, _output(state), out)
-            high ^= again
-            m = np.where(again, np.where(high, out >> 32, out & _M32) * max_atoms, m)
-        counts += (m >> 32).astype(int)
-    angles = np.zeros((n, MAX_ATOMS))
-    end = state
-    for k in range(max_atoms):
-        state = _step(state, inc)
-        # Generator.uniform: low + range * next_double.
-        u = (_output(state) >> 11) * 2.0**-53
-        angles[:, k] = np.where(k < counts, -math.pi + 2.0 * math.pi * u, 0.0)
-        # Each row's exponentials start from the state after its last angle.
-        last = counts == k + 1
-        end = (np.where(last, state[0], end[0]), np.where(last, state[1], end[1]))
-
-    # The exponentials stay numpy's: one Generator, set to each row's state,
-    # fills the row's first count entries of a zero-padded buffer.
-    rng = np.random.default_rng(0)
-    bits = rng.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    e = np.zeros((n, MAX_ATOMS))
-    for i, (c, hi, lo, inc_hi, inc_lo) in enumerate(zip(
-            counts.tolist(), end[0].tolist(), end[1].tolist(),
-            inc[0].tolist(), inc[1].tolist())):
-        pcg["inc"] = (inc_hi << 64) | inc_lo
-        pcg["state"] = (hi << 64) | lo
-        bits.state = full
-        rng.standard_exponential(out=e[i, :c])
-    weights = _simplex_rows(e, counts == MAX_ATOMS)
+    bits = np.random.PCG64(seed).advance(DRAWS * start)
+    u = np.random.Generator(bits).random((stop - start, DRAWS))
+    counts = 1 + (u[:, 0] * MAX_ATOMS).astype(int)
+    present = np.arange(MAX_ATOMS) < counts[:, None]
+    angles = np.where(present, -math.pi + 2.0 * math.pi * u[:, 1:1 + MAX_ATOMS], 0.0)
+    e = np.where(present, -np.log1p(-u[:, 1 + MAX_ATOMS:]), 0.0)
+    weights = e / e.sum(axis=1, keepdims=True)
     return counts, weights, angles, _circle_points(angles, counts)
-
-
-def _simplex_rows(e: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Zero-padded (B, MAX_ATOMS) unit exponentials scaled onto the simplex
-    as ``sample_measure`` scales them; ``full`` marks the rows with MAX_ATOMS
-    of them.
-
-    ``rng.dirichlet`` multiplies the exponentials by the reciprocal of their
-    left-to-right sum, and ``sample_measure`` divides the result by its
-    ``sum()``.  Both sums run over every column: a padding +0 added to a
-    positive sum leaves its bits, so each is the sum of the row's real
-    entries.
-    """
-    # rng.dirichlet's running sum, one column at a time.
-    total = e[:, 0].copy()
-    for k in range(1, MAX_ATOMS):
-        total += e[:, k]
-    weights = e * (1.0 / total)[:, None]
-    # ndarray.sum adds fewer than eight terms left to right, and eight as
-    # ((w0 + w1) + (w2 + w3)) + ((w4 + w5) + (w6 + w7)).
-    w = weights.T
-    total = w[0].copy()
-    for k in range(1, MAX_ATOMS - 1):
-        total += w[k]
-    pairs = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
-    weights /= np.where(full, pairs, total)[:, None]
-    return weights
 
 
 def measure_single_atom(angle: float) -> HerglotzMeasure:

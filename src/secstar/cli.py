@@ -186,20 +186,15 @@ def _cmd_sample(args) -> int:
         raise ValueError("--count must be at least 1")
     _at_most("--count", args.count, MAX_COUNT)
     _require_order(args, 2)  # the CSV rows carry a2
-    seeds = [args.seed + i for i in range(args.count)]
-    counts, weights, angles, x = caratheodory.sample_rows(seeds, _max_atoms(args))
+    max_atoms = _max_atoms(args)
+    measures = [caratheodory.sample_measure(args.seed + i, max_atoms)
+                for i in range(args.count)]
     out = []
     for start in range(0, args.count, caratheodory.BLOCK):
-        rows = slice(start, start + caratheodory.BLOCK)
-        coeffs = caratheodory.member_rows(weights[rows], x[rows], args.order)
-        for i, c in enumerate(coeffs.tolist(), start):
-            k = counts[i]
-            out.append({
-                "seed": seeds[i],
-                "atoms": [list(a) for a in zip(weights[i, :k].tolist(),
-                                               angles[i, :k].tolist())],
-                "coefficients": c,
-            })
+        block = measures[start:start + caratheodory.BLOCK]
+        coeffs = caratheodory.member_rows(*caratheodory.pack_measures(block), args.order)
+        out += [{"seed": m.seed, "atoms": [list(a) for a in m.atoms], "coefficients": c}
+                for m, c in zip(block, coeffs.tolist())]
     _emit(args, out,
           csv_header=["seed", "atom_count", "a2_re", "a2_im"],
           csv_rows=[[d["seed"], len(d["atoms"]), d["coefficients"][2].real,

@@ -2,16 +2,16 @@
 
 Draws deterministic batches of Herglotz measures, synthesizes members,
 computes every coefficient functional, and aggregates extremes and flag
-failures.  Per-sample seeds are base_seed + index, so any single sample can
-be reproduced in isolation (``sample_measure(base_seed + index)``) and the
-batch result is independent of execution order.
+failures.  The members are the four designated measures, then ``count``
+random ones from the one stream ``default_rng(seed)``: random member j is
+``sample_rows(seed, j, j + 1)``, so any single member can be reproduced in
+isolation and the result is independent of execution order.
 
-The random measures are drawn ``CHUNK`` seeds at a time by
-``sample_rows``, as padded arrays with the bits ``sample_measure`` gives.
-Members are synthesized, measured and checked for containment in blocks of
-``BLOCK`` (128) members on the batched engine: the four designated measures,
-then the random ones.  Chunks and blocks bound the memory a search holds,
-whatever its count, and do not change any result.
+Members are drawn ``CHUNK`` at a time, the designated ones at the head of the
+first chunk, and are synthesized, measured and checked for containment in
+blocks of ``BLOCK`` (128) members on the batched engine.  Chunks and blocks
+bound the memory a search holds, whatever its count, and do not change any
+result.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ CONTAINMENT_RADIUS = 0.95
 CONTAINMENT_POINTS = 64
 BOUNDARY_TOL = 1e-4
 
-#: Random members drawn per sample_rows call, a multiple of BLOCK.  A call
-#: has a fixed cost, which a chunk of 1 024 seeds spreads thin.
+#: Members per chunk, a multiple of BLOCK: one sample_rows call each, whose
+#: fixed cost a chunk of 1 024 members spreads thin.  Any chunk size gives
+#: the same rows.
 CHUNK = 8 * BLOCK
 
 
@@ -100,12 +101,16 @@ def designated_measures() -> list[HerglotzMeasure]:
 
 
 def _search_rows(config: SearchConfig):
-    """Weights and atoms of the search's members: the designated measures,
-    then the random ones, CHUNK seeds at a time."""
-    yield pack_measures(designated_measures())
-    for start in range(0, config.count, CHUNK):
-        stop = min(start + CHUNK, config.count)
-        _, w, _, xs = sample_rows([config.seed + i for i in range(start, stop)])
+    """Weights and atoms of the search's members, CHUNK at a time: the
+    designated measures head the first chunk, and random member j is
+    ``sample_rows(config.seed, j, j + 1)``."""
+    head_w, head_xs = pack_measures(designated_measures())
+    head = len(head_w)
+    for start in range(0, head + config.count, CHUNK):
+        stop = min(start + CHUNK, head + config.count)
+        _, w, _, xs = sample_rows(config.seed, max(start - head, 0), stop - head)
+        if start == 0:
+            w, xs = np.concatenate([head_w, w]), np.concatenate([head_xs, xs])
         yield w, xs
 
 

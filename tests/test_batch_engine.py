@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 from secstar.caratheodory import (HerglotzMeasure, log_derivative_rows,
                                   member_from_measure, member_rows,
                                   p_eval_from_measure, pack_measures,
-                                  sample_measure)
+                                  sample_measure, sample_rows)
 from secstar.functionals import (FS_MUS, SHARP_BOUNDS, compute_report,
                                  functional_columns)
 from secstar.generator import ImageRegion, image_region, phi_series
 from secstar.series import compose_rows, div_rows, exp_rows, lift_rows
 from secstar.validation import (BLOCK, BOUNDARY_TOL, CHUNK, CONTAINMENT_POINTS,
                                 CONTAINMENT_RADIUS, SearchConfig, SearchSummary,
-                                designated_measures, run_search)
+                                _search_rows, designated_measures, run_search)
 
 TOL = 1e-14
 ORDERS = (5, 16, 32)
@@ -148,9 +148,17 @@ def oracle_functionals(c):
                 coeff_sum_margin=margin, flags=flags)
 
 
+def stream_measure(seed, i):
+    """Random search member i, drawn alone."""
+    counts, weights, angles, _ = sample_rows(seed, i, i + 1)
+    c = counts[0]
+    return HerglotzMeasure(atoms=tuple(zip(weights[0, :c].tolist(),
+                                           angles[0, :c].tolist())))
+
+
 def oracle_search(config):
     measures = designated_measures()
-    measures += [sample_measure(config.seed + i) for i in range(config.count)]
+    measures += [stream_measure(config.seed, i) for i in range(config.count)]
     region = ImageRegion() if config.check_containment else None
     out = dict(samples=0, max_abs_a2=0.0, max_abs_a3=0.0, max_abs_a4=0.0,
                max_abs_a5=0.0, max_abs_h22=0.0, max_abs_h31=0.0,
@@ -372,11 +380,11 @@ def assert_search_matches_oracle(cfg):
 
 
 def per_measure_search(config):
-    """run_search with every random measure drawn by sample_measure and
-    packed BLOCK at a time: the reference for the drawn rows."""
+    """run_search with every random member drawn alone and packed BLOCK at a
+    time: the reference for the drawn rows."""
     summary = SearchSummary(config=config)
     measures = designated_measures()
-    measures += [sample_measure(config.seed + i) for i in range(config.count)]
+    measures += [stream_measure(config.seed, i) for i in range(config.count)]
     for start in range(0, len(measures), BLOCK):
         weights, atoms = pack_measures(measures[start:start + BLOCK])
         summary.record(functional_columns(member_rows(weights, atoms, config.order)))
@@ -391,11 +399,25 @@ def per_measure_search(config):
     (2 * CHUNK + 5, 2**64 - 1000), (300, 2**128 - 150), (CHUNK, 2**64 - 3),
     (CHUNK + 1, 7)])
 def test_run_search_keeps_every_bit_of_the_per_measure_draw(count, seed):
-    # Chunk edges: CHUNK random members fill the first chunk, and one more
-    # opens the second.  The reference blocks the designated measures with
-    # the first random ones, and the search blocks them apart.
+    # Chunk edges: the designated measures and CHUNK - 4 random members fill
+    # the first chunk, and one more opens the second.
     cfg = SearchConfig(count=count, seed=seed)
     assert repr(asdict(run_search(cfg))) == repr(asdict(per_measure_search(cfg)))
+
+
+def test_search_member_rebuilt_alone_has_its_functionals_in_the_search():
+    # Random member i sits in row 4 + i of the search, whatever its chunk
+    # and block; drawn alone, it gives the same functionals bit for bit.
+    cfg = SearchConfig(count=CHUNK + 2 * BLOCK, seed=2**64 - 77)
+    rows = [np.concatenate(part) for part in zip(*_search_rows(cfg))]
+    assert len(rows[0]) == cfg.count + 4
+    for i in (0, 1, BLOCK - 5, BLOCK - 4, CHUNK - 5, CHUNK - 4, cfg.count - 1):
+        block = (i + 4) // BLOCK * BLOCK
+        inside = functional_columns(member_rows(rows[0][block:block + BLOCK],
+                                                rows[1][block:block + BLOCK], cfg.order))
+        _, w, _, xs = sample_rows(cfg.seed, i, i + 1)
+        alone = functional_columns(member_rows(w, xs, cfg.order))
+        assert repr(alone.report(0)) == repr(inside.report(i + 4 - block)), i
 
 
 def test_run_search_rejects_a_negative_seed_as_numpy_does():

@@ -1,15 +1,12 @@
-import functools
 import math
-import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secstar.caratheodory import (MAX_ATOMS, HerglotzMeasure, SchurPoint,
-                                  _draw_rows, _pcg64_seeded, _seed_pools,
-                                  _simplex_rows, caratheodory_from_schur,
+from secstar.caratheodory import (DRAWS, MAX_ATOMS, HerglotzMeasure, SchurPoint,
+                                  caratheodory_from_schur,
                                   log_derivative_rows, measure_equal_atoms,
                                   measure_single_atom, member_from_measure,
                                   p_eval_from_measure, p_rows, pack_measures,
@@ -147,187 +144,88 @@ def test_sample_measure_invariants(seed):
     assert ((angles >= -math.pi) & (angles < math.pi)).all()
 
 
-# -- sample_rows: the same draws for a batch of seeds ---------------------------
+# -- sample_rows: the search's stream -------------------------------------------
 
 
-def assert_rows_are_the_measures(seeds, max_atoms):
-    # sample_measure is numpy's own draw, rng.dirichlet included, so this
-    # checks the array walk and _simplex_rows against numpy itself.
-    counts, weights, angles, x = sample_rows(seeds, max_atoms)
-    measures = [sample_measure(s, max_atoms) for s in seeds]
-    want_weights, want_x = pack_measures(measures)
-    assert counts.tolist() == [len(m.atoms) for m in measures]
-    assert repr(weights.tolist()) == repr(want_weights.tolist())
-    assert repr(x.tolist()) == repr(want_x.tolist())
-    assert repr([a[:c] for a, c in zip(angles.tolist(), counts.tolist())]) == repr(
-        [[a for _, a in m.atoms] for m in measures])
-    assert not angles[np.arange(MAX_ATOMS) >= counts[:, None]].any()
+def stream_measures(seed, start, stop):
+    """Members start..stop-1 read off default_rng(seed) one double at a time:
+    DRAWS doubles a member, and per member its count, angles and weights."""
+    rng = np.random.default_rng(seed)
+    rng.random(DRAWS * start)
+    out = []
+    for _ in range(start, stop):
+        u = [float(rng.random()) for _ in range(DRAWS)]
+        count = 1 + int(u[0] * MAX_ATOMS)
+        angles = [-math.pi + 2.0 * math.pi * v for v in u[1:1 + count]]
+        e = [-math.log1p(-v) for v in u[1 + MAX_ATOMS:1 + MAX_ATOMS + count]]
+        out.append((count, [v / math.fsum(e) for v in e], angles))
+    return out
 
 
-@given(st.lists(st.integers(0, 2**200), min_size=1, max_size=12))
+def assert_rows_are_the_stream(seed, start, stop):
+    counts, weights, angles, x = sample_rows(seed, start, stop)
+    for i, (count, want_w, want_angles) in enumerate(stream_measures(seed, start, stop)):
+        assert counts[i] == count
+        assert angles[i, :count].tolist() == want_angles
+        # The rows add the exponentials pairwise, the reference exactly.
+        assert np.allclose(weights[i, :count], want_w, rtol=2e-15, atol=0)
+        assert x[i, :count].tolist() == np.exp(-1j * angles[i, :count]).tolist()
+
+
+@given(st.integers(0, 2**200), st.integers(0, 200), st.integers(0, 12))
 @settings(max_examples=60)
-def test_sample_rows_are_the_sampled_measures(seeds):
-    # Seeds of 1 to 7 words; those of 5 or more are hashed by numpy itself.
-    for max_atoms in range(1, MAX_ATOMS + 1):
-        assert_rows_are_the_measures(seeds, max_atoms)
+def test_sample_rows_are_the_sampled_measures(seed, start, length):
+    # Seeds of one to seven 32-bit words, all seeded by numpy itself.
+    assert_rows_are_the_stream(seed, start, start + length)
 
 
 def test_sample_rows_at_word_boundaries():
-    # Each side of 2**32, 2**64 and 2**128: one more seed word, and past
-    # 2**128 numpy's own hash.
-    seeds = [0, 1] + [2**b + d for b in (32, 64, 128) for d in range(-2, 3)]
-    seeds += list(range(500))
-    for max_atoms in range(1, MAX_ATOMS + 1):
-        assert_rows_are_the_measures(seeds, max_atoms)
+    # Each side of 2**32, 2**64 and 2**128: one more seed word.
+    for seed in [0, 1] + [2**b + d for b in (32, 64, 128) for d in range(-2, 3)]:
+        assert_rows_are_the_stream(seed, 0, 40)
+        assert_rows_are_the_stream(seed, 1000, 1003)
 
 
 def test_sample_rows_of_no_seed():
-    counts, weights, angles, x = sample_rows([])
-    assert counts.shape == (0,)
-    assert weights.shape == angles.shape == x.shape == (0, MAX_ATOMS)
+    # An empty range of members.
+    for start in (0, 7):
+        counts, weights, angles, x = sample_rows(3, start, start)
+        assert counts.shape == (0,)
+        assert weights.shape == angles.shape == x.shape == (0, MAX_ATOMS)
 
 
-PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+@given(st.integers(0, 2**130), st.lists(st.integers(0, 3000), min_size=3, max_size=3))
+@settings(max_examples=80)
+def test_sample_rows_join_across_any_split(seed, cuts):
+    # Members i..k-1 and k..j-1 drawn apart are members i..j-1 drawn at once.
+    i, k, j = sorted(cuts)
+    apart = zip(sample_rows(seed, i, k), sample_rows(seed, k, j))
+    for (left, right), whole in zip(apart, sample_rows(seed, i, j)):
+        assert np.concatenate([left, right]).tobytes() == whole.tobytes()
 
 
-def limbs(values):
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
+@given(st.integers(0, 2**64), st.integers(0, 10**12))
+@settings(max_examples=100)
+def test_sample_rows_invariants(seed, start):
+    counts, weights, angles, x = sample_rows(seed, start, start + 64)
+    assert ((counts >= 1) & (counts <= MAX_ATOMS)).all()
+    assert (weights >= 0).all()
+    assert (np.abs(weights.sum(axis=1) - 1.0) <= 1e-12).all()
+    present = np.arange(MAX_ATOMS) < counts[:, None]
+    assert ((angles[present] >= -math.pi) & (angles[present] < math.pi)).all()
+    assert (weights[present] > 0).all()
+    assert not weights[~present].any() and not angles[~present].any()
+    assert not x[~present].any()
+    assert np.allclose(np.abs(x[present]), 1.0, rtol=0, atol=1e-15)
 
 
-def pcg64_step(state, inc):
-    return (state * PCG_MULT + inc) % 2**128
-
-
-def test_sample_rows_redraws_lemire_rejections():
-    # A PCG64 state whose next output is 0: the count draw's low 32 bits are
-    # 0, a leftover Generator.integers rejects for max_atoms 3, 5, 6 and 7
-    # (2**32 mod max_atoms > 0), and so are the high 32 bits it tries next.
-    inc = np.random.PCG64(0).state["state"]["inc"]
-    after = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF  # high ^ low = 0
-    zero_next = (after - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
-    assert pcg64_step(zero_next, inc) == after
-    rng = np.random.Generator(np.random.PCG64())
-    starts = [zero_next, np.random.PCG64(7).state["state"]["state"]]
-    for max_atoms in range(1, MAX_ATOMS + 1):
-        counts, weights, angles, _ = _draw_rows(limbs(starts), limbs([inc] * 2),
-                                                max_atoms)
-        for i, start in enumerate(starts):
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64", "state": {"state": start, "inc": inc},
-                "has_uint32": 0, "uinteger": 0}
-            count = int(rng.integers(1, max_atoms + 1))
-            if i == 0 and max_atoms in (3, 5, 6, 7):
-                # Rejected twice: the count took a second 64-bit output.
-                assert (rng.bit_generator.state["state"]["state"]
-                        == pcg64_step(after, inc))
-            want_angles = rng.uniform(-math.pi, math.pi, count)
-            e = rng.standard_exponential(count)
-            want = e * (1.0 / functools.reduce(operator.add, e.tolist()))
-            want = want / want.sum()
-            assert counts[i] == count
-            assert repr(weights[i, :count].tolist()) == repr(want.tolist())
-            assert repr(angles[i, :count].tolist()) == repr(want_angles.tolist())
-            assert not weights[i, count:].any() and not angles[i, count:].any()
-
-
-def state_before_output(output, inc):
-    """A PCG64 state whose next 64-bit output is ``output``."""
-    high = 0x0123456789ABCDEF  # its top six bits, the rotation, are 0
-    after = (high << 64) | (high ^ output)
-    return (after - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
-
-
-def zero_next_state(inc):
-    """A PCG64 state whose next output is 0, which Generator.integers
-    rejects for max_atoms 3, 5, 6 and 7 (see the test above)."""
-    return state_before_output(0, inc)
-
-
-def simplex(e):
-    """Unit exponentials scaled onto the simplex as rng.dirichlet scales
-    them, then renormalised as sample_measure does."""
-    w = e * (1.0 / functools.reduce(operator.add, e.tolist()))
-    return w / w.sum()
-
-
-def draw_at(state, inc, max_atoms):
-    """sample_measure's draw from a Generator at a given PCG64 state."""
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    count = int(rng.integers(1, max_atoms + 1))
-    angles = rng.uniform(-math.pi, math.pi, count)
-    weights = simplex(rng.standard_exponential(count))
-    return tuple(zip(weights.tolist(), angles.tolist()))
-
-
-def test_sample_rows_batch_of_every_count_and_a_rejection():
-    # One batch: 64 seeds, which draw every atom count, and last a state
-    # whose count draw is rejected at max_atoms 7.  (max_atoms 8 never
-    # rejects, since 2**32 mod 8 = 0.)  Each row is the per-seed draw.
-    seeds = list(range(64))
-    state, inc = _pcg64_seeded(_seed_pools(seeds))
-    inc_int = (int(inc[0][0]) << 64) | int(inc[1][0])
-    rejected = zero_next_state(inc_int)
-    state = tuple(np.append(part, limb) for part, limb in zip(state, limbs([rejected])))
-    inc = tuple(np.append(part, part[0]) for part in inc)
-    for max_atoms in (7, MAX_ATOMS):
-        counts, weights, angles, _ = _draw_rows(state, inc, max_atoms)
-        assert set(counts[:-1].tolist()) == set(range(1, max_atoms + 1))
-        measures = [sample_measure(seed, max_atoms).atoms for seed in seeds]
-        measures.append(draw_at(rejected, inc_int, max_atoms))
-        for i, atoms in enumerate(measures):
-            c = counts[i]
-            assert c == len(atoms)
-            assert (repr(tuple(zip(weights[i, :c].tolist(), angles[i, :c].tolist())))
-                    == repr(atoms)), (max_atoms, i)
-            assert not weights[i, c:].any() and not angles[i, c:].any()
-
-
-def test_simplex_rows_is_simplex_row_by_row():
-    # ndarray.sum adds eight terms pairwise and fewer left to right: 3 000
-    # draws of each count, of several scales, against the per-row simplex.
-    rng = np.random.default_rng(16)
-    for count in range(1, MAX_ATOMS + 1):
-        e = np.zeros((3000, MAX_ATOMS))
-        e[:, :count] = rng.standard_exponential((3000, count))
-        e *= 10.0 ** rng.integers(-3, 4, 3000)[:, None]
-        got = _simplex_rows(e, np.full(3000, count == MAX_ATOMS))
-        want = np.zeros_like(e)
-        want[:, :count] = [simplex(row[:count]) for row in e]
-        assert got.tobytes() == want.tobytes(), count
-
-
-def test_sample_rows_retries_lemire_rejections_on_the_arrays():
-    # The count draw takes the low half of a 64-bit output, then its high
-    # half, then the next output.  Crafted next outputs: a low half of 0,
-    # rejected at max_atoms 3, 5, 6 and 7, with a high half that is then
-    # accepted at all four (2**32 - 1, 1), rejected at 6 only (2**31), or
-    # rejected at all four (0).  They sit among seeded rows, with two incs.
-    state, inc = _pcg64_seeded(_seed_pools(list(range(40))))
-    rows = [((int(hi) << 64) | int(lo), (int(inc_hi) << 64) | int(inc_lo))
-            for hi, lo, inc_hi, inc_lo in zip(*state, *inc)]
-    incs = [rows[0][1], np.random.PCG64(0).state["state"]["inc"]]
-    crafted = [(state_before_output(high << 32, c), c)
-               for c in incs for high in (0xFFFFFFFF, 1, 0x80000000, 0)]
-    rows[3:3] = crafted[:4]
-    rows[20:20] = crafted[4:]
-    starts, row_incs = zip(*rows)
-    for max_atoms in range(1, MAX_ATOMS + 1):
-        counts, weights, angles, _ = _draw_rows(limbs(starts), limbs(row_incs),
-                                                max_atoms)
-        for i, (start, row_inc) in enumerate(rows):
-            atoms = draw_at(start, row_inc, max_atoms)
-            c = counts[i]
-            assert c == len(atoms), (max_atoms, i)
-            assert (repr(tuple(zip(weights[i, :c].tolist(), angles[i, :c].tolist())))
-                    == repr(atoms)), (max_atoms, i)
-            assert not weights[i, c:].any() and not angles[i, c:].any()
-        if max_atoms == 7:
-            # An accepted high half u gives 1 + (7 u >> 32) atoms.
-            assert counts[[3, 4, 5, 20, 21, 22]].tolist() == [7, 1, 4] * 2
+def test_sample_rows_atom_counts_are_uniform():
+    # 80 000 members: each count's tally within 5 sigma of n / MAX_ATOMS.
+    n = 80_000
+    tally = np.bincount(sample_rows(0xC0FFEE, 0, n)[0], minlength=MAX_ATOMS + 1)
+    assert tally[0] == 0 and tally.sum() == n
+    p = 1.0 / MAX_ATOMS
+    assert (np.abs(tally[1:] - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))).all()
 
 
 @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 1.0, np.True_, "3"])
@@ -335,14 +233,16 @@ def test_sample_rows_rejects_seeds_as_numpy_does(seed):
     with pytest.raises(Exception) as want:
         np.random.default_rng(seed)
     with pytest.raises(type(want.value)) as got:
-        sample_rows([3, seed])
+        sample_rows(seed, 0, 3)
     assert str(got.value) == str(want.value)
 
 
 def test_sample_rows_takes_the_seeds_numpy_takes():
-    # A Python bool or a numpy integer seeds default_rng like the int it equals.
-    seeds = [True, False, np.int64(7), np.uint64(2**63 + 5)]
-    assert_rows_are_the_measures(seeds, MAX_ATOMS)
+    # A Python bool or a numpy integer seeds the stream like the int it equals.
+    for seed, equal in [(True, 1), (False, 0), (np.int64(7), 7),
+                        (np.uint64(2**63 + 5), 2**63 + 5)]:
+        for got, want in zip(sample_rows(seed, 3, 40), sample_rows(equal, 3, 40)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_exact_kernel_positive_real_part():
